@@ -5,7 +5,8 @@ The two extractors differ only in how block widths evolve.  Equal blocks
 need the input length up front (the width is logarithmic in it);
 incremental blocks grow by a fixed number of samples each round and can
 run forever.  With growth zero and matching widths they produce identical
-bytes, demonstrated at the end.
+bytes, demonstrated at the end.  Both run their blocks in order on the
+calling thread.
 """
 
 import io
@@ -41,7 +42,7 @@ print(f"plan: n={plan.vec_len}, q={plan.field_bits}, "
       f"{plan.num_blocks} blocks, {plan.output_bits} output bits")
 
 out = io.BytesIO()
-report = extract_eq(x_bytes, y_bytes, plan, workers=4).run(out)
+report = extract_eq(x_bytes, y_bytes, plan).run(out)
 print(f"extracted {report.output_bits} bits in {report.wall_time_s * 1e3:.1f} ms "
       f"({report.x_discarded_tail_bits} tail bits discarded per source)")
 print(f"log2 error bound of the emitted output: {report.log2_error_bound:.2f}")

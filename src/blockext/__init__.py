@@ -16,16 +16,7 @@ from .bench import (
     measure_throughput,
     projected_speed,
 )
-from .extractor import (
-    BlockCursor,
-    BlockPair,
-    Extraction,
-    OutputChunk,
-    ext_ip,
-    extract_eq,
-    extract_neq,
-    run_parallel,
-)
+from .extractor import Extraction, OutputChunk, ext_ip, extract_eq, extract_neq
 from .gf2q import GFContext, MAX_FIELD_BITS, field, gf_add, gf_mul, is_irreducible
 from .params import (
     EqPlan,

@@ -86,7 +86,6 @@ def projected_speed(model: FpgaModel, cost: GateCostModel) -> SpeedProjection:
 @dataclass
 class ThroughputReport:
     plan: EqPlan
-    workers: int
     duration_s: float       # measured window, warm-up excluded
     blocks: int
     input_bits_per_source: int
@@ -98,7 +97,6 @@ class ThroughputReport:
 
 def measure_throughput(
     plan: EqPlan,
-    workers: int = 1,
     duration_s: float = 2.0,
     *,
     mul_ops: int | None = None,
@@ -123,7 +121,7 @@ def measure_throughput(
 
     def one_pass() -> tuple[int, int]:
         run = extract_eq(io.BytesIO(x_buf), io.BytesIO(y_buf), plan,
-                         workers=workers, max_blocks=blocks_per_pass)
+                         max_blocks=blocks_per_pass)
         out_bits = sum(chunk.width for chunk in run)
         return run.report.blocks_completed, out_bits
 
@@ -151,7 +149,6 @@ def measure_throughput(
     cost = gate_count(plan.vec_len, plan.field_bits, mul_ops) if mul_ops else None
     return ThroughputReport(
         plan=plan,
-        workers=workers,
         duration_s=elapsed,
         blocks=blocks,
         input_bits_per_source=blocks * plan.block_bits,

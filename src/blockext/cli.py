@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -40,6 +41,9 @@ EXIT_CAPACITY = 3
 EXIT_RATE = 4
 EXIT_IO = 5
 EXIT_VERIFY = 6
+
+WORKERS_HELP = ("must be >= 1; has no effect, blocks run in order on one thread "
+                "(parallel lanes are a hardware figure, see `bench cost`)")
 
 
 def _add_eq_plan_flags(p: argparse.ArgumentParser, need_n: bool = True) -> None:
@@ -86,13 +90,18 @@ def cmd_params(args) -> int:
 
 
 class _SourcePair:
-    """The two input streams; at most one may be standard input ('-')."""
+    """The two input streams: distinct files, at most one standard input ('-')."""
 
     def __init__(self, x_path: str, y_path: str):
         if x_path == "-" and y_path == "-":
             raise ValueError(
                 "the two sources must be physically independent streams; "
                 "at most one may be standard input"
+            )
+        if "-" not in (x_path, y_path) and os.path.samefile(x_path, y_path):
+            raise ValueError(
+                "the two sources must be physically independent streams; "
+                f"{x_path} and {y_path} are the same file"
             )
         self._paths = (x_path, y_path)
         self._handles = []
@@ -115,16 +124,15 @@ class _SourcePair:
 def cmd_extract_eq(args) -> int:
     default_samples = None
     if args.N is None and args.n_bits is None:
-        import os
-
         if "-" in (args.x, args.y):
             raise ValueError("--N or --N-bits is required when reading standard input")
         usable = min(os.path.getsize(args.x), os.path.getsize(args.y))
         default_samples = usable * 8 // int(args.b)
     plan = _eq_plan_from_args(args, default_samples)
-    with _SourcePair(args.x, args.y) as (fx, fy), open(args.out, "wb") as out:
+    with _SourcePair(args.x, args.y) as (fx, fy):
         run = extract_eq(fx, fy, plan, workers=args.workers)
-        report = run.run(out)
+        with open(args.out, "wb") as out:
+            report = run.run(out)
     _emit(report.to_text(), args.report)
     return 0
 
@@ -132,10 +140,11 @@ def cmd_extract_eq(args) -> int:
 def cmd_extract_neq(args) -> int:
     plan = plan_neq(int(args.b), as_rational(args.delta, "delta"),
                     first_field_bits=int(args.q1), growth=int(args.growth))
-    with _SourcePair(args.x, args.y) as (fx, fy), open(args.out, "wb") as out:
+    with _SourcePair(args.x, args.y) as (fx, fy):
         run = extract_neq(fx, fy, plan, workers=args.workers,
                           max_blocks=args.max_blocks)
-        report = run.run(out)
+        with open(args.out, "wb") as out:
+            report = run.run(out)
     _emit(report.to_text(), args.report)
     return 0
 
@@ -304,19 +313,16 @@ def cmd_bench_cost(args) -> int:
 
 
 def cmd_bench_throughput(args) -> int:
-    import os
     import platform
 
     plan = _eq_plan_from_args(args)
     rep = bench_mod.measure_throughput(
-        plan, workers=args.workers, duration_s=args.duration,
-        mul_ops=args.mul_ops,
+        plan, duration_s=args.duration, mul_ops=args.mul_ops,
     )
     fields = {
         "machine": platform.platform(),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "workers": rep.workers,
         "duration_s": rep.duration_s,
         "blocks": rep.blocks,
         "input_bits_per_source": rep.input_bits_per_source,
@@ -347,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="second source file")
     p.add_argument("--out", required=True, help="output file (packed bits)")
     _add_eq_plan_flags(p, need_n=False)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--report", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_extract_eq)
 
@@ -360,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q1", required=True, help="starting field bits, multiple of --b")
     p.add_argument("--growth", default=1, help="samples added per block (0 reproduces eq)")
     p.add_argument("--max-blocks", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--report")
     p.set_defaults(func=cmd_extract_neq)
 
@@ -396,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = bsub.add_parser("throughput", help="measure software extraction rate")
     _add_eq_plan_flags(t)
-    t.add_argument("--workers", type=int, default=1)
     t.add_argument("--duration", type=float, default=2.0)
     t.add_argument("--mul-ops", type=int, default=None)
     t.add_argument("--report")

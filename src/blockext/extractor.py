@@ -10,22 +10,21 @@ unbounded input with a convergent total error.
 Block framing is bit-exact and fixed: each source is a flat little-endian
 bit stream (see :mod:`blockext.bitio`); a block takes the next q*n bits and
 splits them into n consecutive q-bit elements, least-significant-bit first.
-Blocks are disjoint: the sample cursor advances by exactly q*n/b samples per
-block, in both modes.
+Blocks are disjoint: each block starts exactly q*n/b samples after the one
+before it (q being that block's width), in both modes.
 
-Blocks are independent, so they can be processed by a worker pool.  The
-pool preserves block order with a bounded reassembly queue (backpressure
-keeps memory flat on unbounded input) and its output is bit-identical to a
-single-worker run.
+Blocks are independent, which is what lets hardware run several block
+lanes side by side (the lane model is :func:`blockext.bench.projected_speed`).
+In software the multiply is pure-Python integer work that holds the
+interpreter lock, so every block runs in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Iterator, Sequence
 
 from .bitio import BitReader, BitWriter
 from .gf2q import GFContext, MAX_FIELD_BITS, field
@@ -42,38 +41,6 @@ class OutputChunk:
     width: int
 
 
-@dataclass(frozen=True)
-class BlockPair:
-    """The paired input windows of one block, as field-element vectors."""
-
-    index: int
-    ctx: GFContext
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-
-
-@dataclass
-class BlockCursor:
-    """Streaming position: 1-based block and sample indices, current width."""
-
-    block_index: int = 1
-    sample_index: int = 1
-    field_bits: int = 0
-
-    def advance(self, vec_len: int, bits_per_sample: int, next_field_bits: int) -> None:
-        self.sample_index += self.field_bits * vec_len // bits_per_sample
-        self.block_index += 1
-        self.field_bits = next_field_bits
-
-
-class BlockProcessingError(RuntimeError):
-    """A worker failed while processing a block; carries the block index."""
-
-    def __init__(self, block_index: int, cause: BaseException):
-        super().__init__(f"block {block_index} failed: {cause!r}")
-        self.block_index = block_index
-
-
 def ext_ip(ctx: GFContext, x: Sequence[int], y: Sequence[int]) -> int:
     """Inner product sum(x_i * y_i) over GF(2^q)."""
     if len(x) != len(y):
@@ -87,49 +54,6 @@ def ext_ip(ctx: GFContext, x: Sequence[int], y: Sequence[int]) -> int:
     return acc
 
 
-def _compute_chunk(pair: BlockPair) -> OutputChunk:
-    return OutputChunk(pair.index, ext_ip(pair.ctx, pair.x, pair.y), pair.ctx.q)
-
-
-def run_parallel(
-    blocks: Iterable[BlockPair], workers: int, *, capacity: int | None = None
-) -> Iterator[OutputChunk]:
-    """Apply the inner product to blocks on a worker pool, order preserved.
-
-    Chunks come out in block order regardless of completion order, and the
-    byte-for-byte output equals a workers=1 run.  At most `capacity` blocks
-    are in flight, so unbounded block streams run in bounded memory.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1:
-        for pair in blocks:
-            yield _compute_chunk(pair)
-        return
-    if capacity is None:
-        capacity = 4 * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-
-        def _drain_one() -> OutputChunk:
-            index, future = pending.popleft()
-            try:
-                return future.result()
-            except Exception as exc:  # noqa: BLE001 - rewrapped with block index
-                raise BlockProcessingError(index, exc) from exc
-
-        try:
-            for pair in blocks:
-                pending.append((pair.index, pool.submit(_compute_chunk, pair)))
-                if len(pending) >= capacity:
-                    yield _drain_one()
-            while pending:
-                yield _drain_one()
-        finally:
-            for _, future in pending:
-                future.cancel()
-
-
 class Extraction:
     """One streaming extraction run: iterate for chunks, then read `.report`.
 
@@ -138,99 +62,71 @@ class Extraction:
     stop condition).
     """
 
-    def __init__(
-        self,
-        x_stream,
-        y_stream,
-        plan: EqPlan | NeqPlan,
-        *,
-        workers: int = 1,
-        max_blocks: int | None = None,
-    ):
+    def __init__(self, x_stream, y_stream, plan: EqPlan | NeqPlan, *,
+                 max_blocks: int | None = None):
         self._x = BitReader(x_stream)
         self._y = BitReader(y_stream)
         self.plan = plan
-        self.mode = "eq" if isinstance(plan, EqPlan) else "neq"
-        self._workers = workers
-        self._max_blocks = max_blocks
-        self._started = False
-        self._used_bits = 0
-        self._stop_reason = "completed"
-        self._chunks_emitted = 0
-        self._output_bits = 0
-        self._t0 = 0.0
-        self.cursor = BlockCursor(field_bits=self._first_width())
-        self.report: ExtractionReport | None = None
-
-    def _first_width(self) -> int:
-        if isinstance(self.plan, EqPlan):
-            return self.plan.field_bits
-        return self.plan.first_field_bits
-
-    def _next_width(self, width: int) -> int:
-        if isinstance(self.plan, EqPlan):
-            return width
-        return width + self.plan.growth * self.plan.bits_per_sample
-
-    def _block_limit(self) -> int | None:
-        if isinstance(self.plan, EqPlan):
-            if self._max_blocks is None:
-                return self.plan.num_blocks
-            return min(self.plan.num_blocks, self._max_blocks)
-        return self._max_blocks
-
-    def _blocks(self) -> Iterator[BlockPair]:
-        plan = self.plan
-        n = plan.vec_len
-        limit = self._block_limit()
-        index = 0
-        while limit is None or index < limit:
-            width = self.cursor.field_bits
-            if width > MAX_FIELD_BITS:
-                self._stop_reason = "width-cap"
-                break
-            ctx = field(width)
-            block_bits = width * n
-            xw = self._x.read_bits(block_bits)
-            yw = self._y.read_bits(block_bits)
-            if xw is None or yw is None:
-                self._stop_reason = "input-exhausted"
-                break
-            index += 1
-            self._used_bits += block_bits
-            mask = ctx.mask
-            xs = tuple((xw >> (j * width)) & mask for j in range(n))
-            ys = tuple((yw >> (j * width)) & mask for j in range(n))
-            yield BlockPair(index, ctx, xs, ys)
-            self.cursor.advance(n, plan.bits_per_sample, self._next_width(width))
+        # The width schedule: block i is first_width + (i-1)*width_step bits
+        # wide.  Equal-block mode is incremental mode with growth 0 and a
+        # planned length; this is the only branch on the plan type.
+        if isinstance(plan, EqPlan):
+            self.mode = "eq"
+            self._first_width = plan.field_bits
+            self._width_step = 0
+            self._planned_blocks = plan.num_blocks
+            self._planned_bits = plan.num_samples * plan.bits_per_sample
+            self._bound = partial(error_bound_eq, plan)
         else:
-            planned = self._block_limit_planned()
-            self._stop_reason = "completed" if limit == planned else "block-limit"
-
-    def _block_limit_planned(self) -> int | None:
-        return self.plan.num_blocks if isinstance(self.plan, EqPlan) else None
+            self.mode = "neq"
+            self._first_width = plan.first_field_bits
+            self._width_step = plan.growth * plan.bits_per_sample
+            self._planned_blocks = None
+            self._planned_bits = None
+            self._bound = partial(error_bound_neq, plan)
+        limits = [v for v in (self._planned_blocks, max_blocks) if v is not None]
+        self._block_limit = min(limits) if limits else None
+        self._started = False
+        self._stop_reason = "completed"
+        self._blocks_done = 0
+        self._output_bits = 0
+        self.report: ExtractionReport | None = None
 
     def __iter__(self) -> Iterator[OutputChunk]:
         if self._started:
             raise RuntimeError("an Extraction is single-use; create a new one")
         self._started = True
-        self._t0 = time.perf_counter()
+        t0 = time.perf_counter()
         try:
-            for chunk in run_parallel(self._blocks(), self._workers):
-                self._chunks_emitted += 1
-                self._output_bits += chunk.width
-                yield chunk
+            yield from self._chunks()
         finally:
-            self._finalize()
+            self._finalize(time.perf_counter() - t0)
 
-    def _finalize(self) -> None:
-        wall = time.perf_counter() - self._t0
-        k = self._chunks_emitted
+    def _chunks(self) -> Iterator[OutputChunk]:
+        n = self.plan.vec_len
+        limit = self._block_limit
+        while limit is None or self._blocks_done < limit:
+            width = self._first_width + self._blocks_done * self._width_step
+            if width > MAX_FIELD_BITS:
+                self._stop_reason = "width-cap"
+                return
+            ctx = field(width)
+            xw = self._x.read_bits(width * n)
+            yw = self._y.read_bits(width * n)
+            if xw is None or yw is None:
+                self._stop_reason = "input-exhausted"
+                return
+            mask = ctx.mask
+            xs = [(xw >> (j * width)) & mask for j in range(n)]
+            ys = [(yw >> (j * width)) & mask for j in range(n)]
+            self._blocks_done += 1
+            self._output_bits += width
+            yield OutputChunk(self._blocks_done, ext_ip(ctx, xs, ys), width)
+        self._stop_reason = "completed" if limit == self._planned_blocks else "block-limit"
+
+    def _finalize(self, wall: float) -> None:
+        k = self._blocks_done
         exhausted = self._stop_reason == "input-exhausted"
-        if isinstance(self.plan, EqPlan):
-            log2_error = error_bound_eq(self.plan, k)
-        else:
-            log2_error = error_bound_neq(self.plan, k) if k else float("-inf")
         self.report = ExtractionReport(
             mode=self.mode,
             plan=self.plan,
@@ -240,7 +136,7 @@ class Extraction:
             output_bits=self._output_bits,
             x_discarded_tail_bits=self._discarded(self._x, exhausted),
             y_discarded_tail_bits=self._discarded(self._y, exhausted),
-            log2_error_bound=log2_error,
+            log2_error_bound=self._bound(k) if k else float("-inf"),
             wall_time_s=wall,
             window_disjointness=True,
             stop_reason=self._stop_reason,
@@ -249,16 +145,17 @@ class Extraction:
     def _discarded(self, reader: BitReader, exhausted: bool) -> int:
         # Bits delivered but not used by any completed block; when the stream
         # ran dry, the short buffered tail can never form a block and counts
-        # too.  A completed equal-block run charges the planned window's
+        # too.  A completed run with a planned length charges the window's
         # indivisible remainder (N*b mod q*n), which no block can use.  On a
         # width-cap or block-limit stop the rest of the stream is simply
-        # unprocessed, not discarded.
-        discarded = reader.bits_consumed - self._used_bits
+        # unprocessed, not discarded.  Each block uses q*n bits per source
+        # for q output bits.
+        used = self._output_bits * self.plan.vec_len
+        discarded = reader.bits_consumed - used
         if exhausted:
             discarded += reader.tail_bits()
-        elif self._stop_reason == "completed" and isinstance(self.plan, EqPlan):
-            planned = self.plan.num_samples * self.plan.bits_per_sample
-            discarded += planned - self._used_bits
+        elif self._stop_reason == "completed" and self._planned_bits is not None:
+            discarded += self._planned_bits - used
         return discarded
 
     def run(self, sink=None) -> ExtractionReport:
@@ -279,16 +176,24 @@ class Extraction:
         return self.report
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 def extract_eq(x_stream, y_stream, plan: EqPlan, *, workers: int = 1,
                max_blocks: int | None = None) -> Extraction:
     """Equal-block extraction of two streams under a derived plan.
 
     Emits floor(N*b/(q*n)) chunks of q bits; a final window shorter than
-    q*n bits is discarded and accounted in the report.
+    q*n bits is discarded and accounted in the report.  `workers` must be
+    >= 1 and has no effect: blocks always run in order on the calling
+    thread.
     """
     if not isinstance(plan, EqPlan):
         raise TypeError("extract_eq needs an EqPlan")
-    return Extraction(x_stream, y_stream, plan, workers=workers, max_blocks=max_blocks)
+    _check_workers(workers)
+    return Extraction(x_stream, y_stream, plan, max_blocks=max_blocks)
 
 
 def extract_neq(x_stream, y_stream, plan: NeqPlan, *, workers: int = 1,
@@ -299,21 +204,19 @@ def extract_neq(x_stream, y_stream, plan: NeqPlan, *, workers: int = 1,
     width would exceed the implementation cap, whichever comes first; the
     report records which.  With growth = 0 and a starting width equal to an
     equal-block plan's width, the output is bit-identical to
-    :func:`extract_eq` on the same streams.
+    :func:`extract_eq` on the same streams.  `workers` is as for
+    :func:`extract_eq`.
     """
     if not isinstance(plan, NeqPlan):
         raise TypeError("extract_neq needs a NeqPlan")
-    return Extraction(x_stream, y_stream, plan, workers=workers, max_blocks=max_blocks)
+    _check_workers(workers)
+    return Extraction(x_stream, y_stream, plan, max_blocks=max_blocks)
 
 
 __all__ = [
-    "BlockCursor",
-    "BlockPair",
-    "BlockProcessingError",
     "Extraction",
     "OutputChunk",
     "ext_ip",
     "extract_eq",
     "extract_neq",
-    "run_parallel",
 ]

@@ -57,7 +57,7 @@ def test_gate_count_validation():
 
 def test_measure_throughput_tiny_plan():
     plan = plan_eq(8, 4096, "3/4", "2^-8")
-    rep = measure_throughput(plan, workers=1, duration_s=0.3, mul_ops=4885, seed=1)
+    rep = measure_throughput(plan, duration_s=0.3, mul_ops=4885, seed=1)
     assert rep.blocks > 0
     assert rep.output_bits == rep.blocks * plan.field_bits
     assert rep.output_bits_per_second > 0
@@ -65,17 +65,9 @@ def test_measure_throughput_tiny_plan():
     assert rep.input_bits_per_source == rep.blocks * plan.block_bits
 
 
-def test_measure_throughput_worker_scaling_reports():
-    plan = plan_eq(8, 4096, "3/4", "2^-8")
-    r1 = measure_throughput(plan, workers=1, duration_s=0.2, seed=2)
-    r4 = measure_throughput(plan, workers=4, duration_s=0.2, seed=2)
-    assert r1.blocks > 0 and r4.blocks > 0
-    assert r1.workers == 1 and r4.workers == 4
-
-
 def test_measure_throughput_short_duration_warns():
     plan = plan_eq(16, 2**14, "10.74/16", "2^-10")   # q=48 blocks are slow
-    rep = measure_throughput(plan, workers=1, duration_s=0.005, seed=3)
+    rep = measure_throughput(plan, duration_s=0.005, seed=3)
     assert rep.warnings
     with pytest.raises(ValueError):
         measure_throughput(plan, duration_s=0.0)

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, round trips, exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -132,6 +133,35 @@ def test_extract_missing_input_is_io_error(tmp_path, capsys):
                    "--b", "8", "--delta", "3/4", "--epsilon", "2^-8") == 5
 
 
+EQ_FLAGS = ("extract-eq", "--b", "8", "--delta", "3/4", "--epsilon", "2^-8")
+NEQ_FLAGS = ("extract-neq", "--b", "8", "--delta", "3/4", "--q1", "8")
+
+
+@pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
+def test_extract_refuses_self_pairing(tmp_path, capsys, flags):
+    x = tmp_path / "x.bin"
+    x.write_bytes(bytes(range(256)) * 8)
+    link = tmp_path / "link.bin"
+    os.link(x, link)
+    out = tmp_path / "z.bin"
+    for y in (x, link):
+        assert run_cli(*flags, "--x", str(x), "--y", str(y), "--out", str(out)) == 2
+        assert "same file" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
+def test_extract_rejects_zero_workers(tmp_path, capsys, flags):
+    x, y = tmp_path / "x.bin", tmp_path / "y.bin"
+    x.write_bytes(bytes(1024))
+    y.write_bytes(bytes(1024))
+    out = tmp_path / "z.bin"
+    assert run_cli(*flags, "--x", str(x), "--y", str(y), "--out", str(out),
+                   "--workers", "0") == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_file_model_uncertifiable(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes(64))
@@ -196,6 +226,6 @@ def test_bench_cost_and_zero_lane_exit(capsys):
 def test_bench_throughput(capsys):
     assert run_cli("bench", "throughput", "--b", "8", "--delta", "3/4",
                    "--epsilon", "2^-8", "--N", "4096",
-                   "--duration", "0.2", "--workers", "2") == 0
+                   "--duration", "0.2") == 0
     _, fields = parse_document(capsys.readouterr().out)
     assert float(fields["output_bits_per_second"]) > 0

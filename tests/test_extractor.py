@@ -1,4 +1,4 @@
-"""Streaming extractor tests: worked examples, framing, parallelism, reports."""
+"""Streaming extractor tests: worked examples, framing, stop reasons, reports."""
 
 import io
 import random
@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockext.bitio import pack_values
-from blockext.extractor import (
-    BlockPair,
-    BlockProcessingError,
-    ext_ip,
-    extract_eq,
-    extract_neq,
-    run_parallel,
-)
+from blockext.extractor import ext_ip, extract_eq, extract_neq
 from blockext.gf2q import field, gf_add, gf_mul
 from blockext.params import (
     EqPlan,
@@ -208,6 +201,55 @@ def test_completed_run_reports_planned_remainder():
     assert run.report.x_discarded_tail_bits == 800 - plan.num_blocks * 48 == 32
 
 
+STOP_CASES = {
+    # id: (plan, x bytes, y bytes, max_blocks, stop reason, blocks, x/y discarded)
+    "eq-completed": (tiny_eq_plan(8, 100, "3/4", 6, 8), 100, 100, None,
+                     "completed", 16, 32, 32),
+    "eq-block-limit": (tiny_eq_plan(8, 100, "3/4", 6, 8), 100, 100, 5,
+                       "block-limit", 5, 0, 0),
+    "eq-input-exhausted": (tiny_eq_plan(8, 100, "3/4", 5, 8), 43, 100, None,
+                           "input-exhausted", 8, 43 * 8 - 320, 800 - 320),
+    "neq-block-limit": (plan_neq(8, "3/4", 8, 1), 400, 400, 3,
+                        "block-limit", 3, 0, 0),
+    # n=48: blocks take 384, 768, 1152, 1536 bits; 3200 bits serve three
+    "neq-input-exhausted": (plan_neq(8, "3/4", 8, 1), 400, 400, None,
+                            "input-exhausted", 3, 3200 - 2304, 3200 - 2304),
+    "neq-width-cap": (plan_neq(16, "3/4", 16, 1), 200_000, 200_000, None,
+                      "width-cap", 8, 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_stop_reasons(case):
+    plan, x_len, y_len, max_blocks, stop, blocks, x_disc, y_disc = STOP_CASES[case]
+    rnd = random.Random(case)
+    xb, yb = rnd.randbytes(x_len), rnd.randbytes(y_len)
+    if isinstance(plan, EqPlan):
+        run = extract_eq(xb, yb, plan, max_blocks=max_blocks)
+        bound = error_bound_eq(plan, blocks)
+    else:
+        run = extract_neq(xb, yb, plan, max_blocks=max_blocks)
+        bound = error_bound_neq(plan, blocks)
+    assert [c.index for c in run] == list(range(1, blocks + 1))
+    rep = run.report
+    assert rep.stop_reason == stop
+    assert rep.blocks_completed == blocks
+    assert (rep.x_discarded_tail_bits, rep.y_discarded_tail_bits) == (x_disc, y_disc)
+    assert rep.log2_error_bound == bound
+
+
+def test_consumer_stopping_early_still_gets_a_report():
+    rnd = random.Random(16)
+    xb, yb = rnd.randbytes(400), rnd.randbytes(400)
+    for run in (extract_eq(xb, yb, tiny_eq_plan(8, 400, "3/4", 5, 8)),
+                extract_neq(xb, yb, plan_neq(8, "3/4", 8, 1))):
+        chunks = iter(run)
+        assert next(chunks).index == 1
+        chunks.close()
+        assert run.report.blocks_completed == 1
+        assert run.report.output_bits == 8
+
+
 def test_empty_streams():
     plan = tiny_eq_plan(8, 100, "3/4", 5, 8)
     run = extract_eq(b"", b"", plan)
@@ -261,7 +303,7 @@ def test_neq_growth_zero_equals_eq():
         assert eq_out.getvalue() == neq_out.getvalue()
 
 
-# ---------- parallel execution ----------
+# ---------- the workers argument ----------
 
 def test_parallel_output_matches_sequential():
     rnd = random.Random(13)
@@ -275,25 +317,12 @@ def test_parallel_output_matches_sequential():
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_run_parallel_four_blocks_in_order():
-    ctx = field(4)
-    rnd = random.Random(14)
-    pairs = [BlockPair(i + 1, ctx,
-                       tuple(rnd.randrange(16) for _ in range(3)),
-                       tuple(rnd.randrange(16) for _ in range(3)))
-             for i in range(4)]
-    chunks = list(run_parallel(iter(pairs), workers=4))
-    assert [c.index for c in chunks] == [1, 2, 3, 4]
-    assert [c.bits for c in chunks] == [ext_ip(ctx, p.x, p.y) for p in pairs]
-
-
-def test_worker_failure_carries_block_index():
-    ctx = field(4)
-    good = BlockPair(1, ctx, (1, 2), (3, 4))
-    bad = BlockPair(2, ctx, (1, 99), (3, 4))   # element out of range
-    with pytest.raises(BlockProcessingError) as exc_info:
-        list(run_parallel(iter([good, bad]), workers=2))
-    assert exc_info.value.block_index == 2
+def test_workers_validated_at_call_time():
+    plan = tiny_eq_plan(1, 2, 1, 2, 1)
+    with pytest.raises(ValueError):
+        extract_eq(bytes([0b11]), bytes([0b11]), plan, workers=0)
+    with pytest.raises(ValueError):
+        extract_neq(b"", b"", plan_neq(1, "3/4", 1, 1), workers=0)
 
 
 def test_extraction_is_single_use():
