@@ -17,7 +17,7 @@ from .bench import (
     projected_speed,
 )
 from .extractor import Extraction, OutputChunk, ext_ip, extract_eq, extract_neq
-from .gf2q import GFContext, MAX_FIELD_BITS, field, gf_add, gf_mul, is_irreducible
+from .gf2q import GFContext, MAX_FIELD_BITS, field, is_irreducible
 from .params import (
     EqPlan,
     NeqPlan,

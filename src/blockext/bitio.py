@@ -12,6 +12,8 @@ from __future__ import annotations
 import io
 from typing import BinaryIO
 
+READ_SIZE = 1 << 16  # bytes asked of the stream per buffered read
+
 
 class BitReader:
     """Consume a binary stream as a flat little-endian bit sequence.
@@ -22,11 +24,10 @@ class BitReader:
     tail that is too short to serve a request.
     """
 
-    def __init__(self, stream: BinaryIO | bytes | bytearray, chunk_size: int = 1 << 16):
+    def __init__(self, stream: BinaryIO | bytes | bytearray):
         if isinstance(stream, (bytes, bytearray)):
             stream = io.BytesIO(bytes(stream))
         self._stream = stream
-        self._chunk_size = chunk_size
         self._buf = 0
         self._buf_bits = 0
         self._exhausted = False
@@ -34,7 +35,7 @@ class BitReader:
 
     def _fill(self, want_bits: int) -> None:
         while self._buf_bits < want_bits and not self._exhausted:
-            need = max(self._chunk_size, (want_bits - self._buf_bits + 7) // 8)
+            need = max(READ_SIZE, (want_bits - self._buf_bits + 7) // 8)
             chunk = self._stream.read(need)
             if not chunk:
                 self._exhausted = True

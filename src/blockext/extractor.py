@@ -99,6 +99,10 @@ class Extraction:
         t0 = time.perf_counter()
         try:
             yield from self._chunks()
+        except GeneratorExit:
+            # The consumer closed the iterator before the schedule ended.
+            self._stop_reason = "interrupted"
+            raise
         finally:
             self._finalize(time.perf_counter() - t0)
 
@@ -147,9 +151,9 @@ class Extraction:
         # ran dry, the short buffered tail can never form a block and counts
         # too.  A completed run with a planned length charges the window's
         # indivisible remainder (N*b mod q*n), which no block can use.  On a
-        # width-cap or block-limit stop the rest of the stream is simply
-        # unprocessed, not discarded.  Each block uses q*n bits per source
-        # for q output bits.
+        # width-cap, block-limit or interrupted stop the rest of the stream
+        # is simply unprocessed, not discarded.  Each block uses q*n bits per
+        # source for q output bits.
         used = self._output_bits * self.plan.vec_len
         discarded = reader.bits_consumed - used
         if exhausted:

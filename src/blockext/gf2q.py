@@ -5,21 +5,25 @@ so 0 is the additive identity and 1 the multiplicative identity.  Addition
 is bit-wise XOR; multiplication is carry-less (shift/XOR schoolbook)
 polynomial multiplication reduced modulo an irreducible degree-q modulus.
 
-A :class:`GFContext` fixes q and the modulus and precomputes the reduction
-table used by :func:`gf_mul`.  Contexts are immutable after construction and
-safe to share across threads.  The default modulus for each q comes from the
-shipped low-weight table in :mod:`blockext._moduli`; any irreducible modulus
-yields an isomorphic field, but a fixed table keeps outputs reproducible.
+A :class:`GFContext` fixes q, takes its modulus from the shipped low-weight
+table in :mod:`blockext._moduli` and precomputes the reduction table used by
+:meth:`GFContext.mul`.  That table is the only source of moduli: custom
+moduli are not accepted, and contexts do not re-prove irreducibility, because
+the test suite proves every entry irreducible and ``scripts/gen_moduli.py``
+regenerates the table (the first irreducible polynomial of each degree in a
+fixed scan order).  Any irreducible modulus yields an isomorphic field; one
+fixed table keeps outputs reproducible.  Contexts are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .errors import CapacityError
 from ._moduli import MODULUS_EXPONENTS, modulus_int
 
 MAX_FIELD_BITS = 128
-
-_context_cache: dict[tuple[int, int], "GFContext"] = {}
 
 
 # ---------- polynomial helpers (ints as GF(2)[x] coefficient vectors) ----------
@@ -97,7 +101,7 @@ def is_irreducible(poly: int) -> bool:
 # ---------- field context ----------
 
 class GFContext:
-    """GF(2^q) with a fixed, validated modulus polynomial.
+    """GF(2^q) with the shipped modulus polynomial for q.
 
     Attributes:
         q: field degree (bits per element).
@@ -107,17 +111,10 @@ class GFContext:
 
     __slots__ = ("q", "modulus", "mask", "_fold")
 
-    def __init__(self, q: int, modulus: int | None = None):
+    def __init__(self, q: int):
         if not 1 <= q <= MAX_FIELD_BITS:
             raise CapacityError(f"field degree {q} outside supported range 1..{MAX_FIELD_BITS}")
-        if modulus is None:
-            modulus = modulus_int(q)
-        if poly_degree(modulus) != q:
-            raise ValueError(f"modulus degree {poly_degree(modulus)} != q = {q}")
-        if not modulus & 1:
-            raise ValueError("modulus must have constant term 1")
-        if not is_irreducible(modulus):
-            raise ValueError(f"modulus {modulus:#x} is reducible")
+        modulus = modulus_int(q)
         self.q = q
         self.modulus = modulus
         self.mask = (1 << q) - 1
@@ -133,13 +130,13 @@ class GFContext:
         self._fold = tuple(fold)
 
     def __repr__(self) -> str:
-        return f"GFContext(q={self.q}, modulus={self.modulus:#x})"
+        return f"GFContext({self.q})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GFContext) and (self.q, self.modulus) == (other.q, other.modulus)
+        return isinstance(other, GFContext) and self.q == other.q
 
     def __hash__(self) -> int:
-        return hash((self.q, self.modulus))
+        return hash(self.q)
 
     def check(self, x: int) -> int:
         """Validate that x is a q-bit element and return it."""
@@ -189,23 +186,10 @@ class GFContext:
         return self.pow(x, (1 << self.q) - 2)
 
 
-def field(q: int, modulus: int | None = None) -> GFContext:
+@cache
+def field(q: int) -> GFContext:
     """GFContext for degree q, cached so repeat lookups share one instance."""
-    key = (q, modulus if modulus is not None else modulus_int(q))
-    ctx = _context_cache.get(key)
-    if ctx is None:
-        ctx = _context_cache[key] = GFContext(q, modulus)
-    return ctx
-
-
-def gf_add(ctx: GFContext, x: int, y: int) -> int:
-    """Add two elements of ctx (bit-wise XOR)."""
-    return ctx.add(x, y)
-
-
-def gf_mul(ctx: GFContext, x: int, y: int) -> int:
-    """Multiply two elements of ctx."""
-    return ctx.mul(x, y)
+    return GFContext(q)
 
 
 __all__ = [
@@ -213,8 +197,6 @@ __all__ = [
     "MODULUS_EXPONENTS",
     "GFContext",
     "field",
-    "gf_add",
-    "gf_mul",
     "is_irreducible",
     "modulus_int",
     "poly_degree",

@@ -123,7 +123,15 @@ def plan_from_text(text: str):
 
 @dataclass
 class ExtractionReport:
-    """Structured summary of one extraction run."""
+    """Structured summary of one extraction run.
+
+    `stop_reason` says why the run ended: ``completed`` (every planned
+    equal-width block was extracted), ``input-exhausted`` (a source ran out
+    before the next block), ``block-limit`` (``max_blocks`` was reached),
+    ``width-cap`` (the next incremental block would exceed the 128-bit
+    field cap) or ``interrupted`` (the consumer closed the chunk iterator
+    before the schedule ended).
+    """
 
     mode: str                       # "eq" | "neq"
     plan: Any                       # EqPlan | NeqPlan, echoed in full

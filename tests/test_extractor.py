@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockext.bitio import pack_values
 from blockext.extractor import ext_ip, extract_eq, extract_neq
-from blockext.gf2q import field, gf_add, gf_mul
+from blockext.gf2q import field
 from blockext.params import (
     EqPlan,
     as_rational,
@@ -38,7 +38,7 @@ def test_ext_ip_examples():
     ctx = field(2)
     v = 0b11
     assert ext_ip(ctx, (1,), (v,)) == v
-    expected = gf_add(ctx, 0b11, gf_add(ctx, 0b10, gf_mul(ctx, 0b11, 0b10)))
+    expected = ctx.add(0b11, ctx.add(0b10, ctx.mul(0b11, 0b10)))
     assert ext_ip(ctx, (0b10, 0b01, 0b11), (0b10, 0b10, 0b10)) == expected == 0
 
 
@@ -248,6 +248,9 @@ def test_consumer_stopping_early_still_gets_a_report():
         chunks.close()
         assert run.report.blocks_completed == 1
         assert run.report.output_bits == 8
+        assert run.report.stop_reason == "interrupted"
+        assert run.report.x_discarded_tail_bits == 0
+        assert run.report.y_discarded_tail_bits == 0
 
 
 def test_empty_streams():

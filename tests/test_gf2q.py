@@ -1,6 +1,11 @@
 """Field arithmetic tests, cross-checked against list-based polynomial oracles."""
 
+import ast
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +15,6 @@ from blockext.gf2q import (
     MAX_FIELD_BITS,
     MODULUS_EXPONENTS,
     field,
-    gf_add,
-    gf_mul,
     is_irreducible,
     modulus_int,
     poly_degree,
@@ -74,6 +77,18 @@ def test_modulus_table_complete_and_irreducible():
         assert is_irreducible(m), f"q={q}: shipped modulus reducible"
 
 
+def test_gen_moduli_script_rebuilds_shipped_table():
+    # The table is the only source of moduli, so pin its construction rule
+    # (first irreducible in the script's scan order), not just irreducibility.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, str(root / "scripts" / "gen_moduli.py")],
+                         capture_output=True, text=True, check=True, env=env).stdout
+    assert ast.literal_eval(out.split("=", 1)[1]) == MODULUS_EXPONENTS
+    for q in range(1, MAX_FIELD_BITS + 1):
+        assert GFContext(q).modulus == modulus_int(q)
+
+
 def test_is_irreducible_matches_trial_division_exhaustively():
     for p in range(2, 1 << 12):
         if p & 1 == 0 and p != 2:
@@ -95,21 +110,21 @@ def test_is_irreducible_examples():
 
 def test_add_examples():
     ctx = field(3)
-    assert gf_add(ctx, 0b101, 0b101) == 0
-    assert gf_add(ctx, 0b101, 0b010) == 0b111
+    assert ctx.add(0b101, 0b101) == 0
+    assert ctx.add(0b101, 0b010) == 0b111
     ctx80 = field(80)
     v = 0x1234_5678_9ABC_DEF0_1234
-    assert gf_add(ctx80, 0, v) == v
+    assert ctx80.add(0, v) == v
 
 
 def test_mul_examples():
-    assert gf_mul(field(1), 1, 1) == 1
+    assert field(1).mul(1, 1) == 1
     ctx = field(2)
     assert ctx.modulus == 0b111
-    assert gf_mul(ctx, 0b10, 0b10) == 0b11
+    assert ctx.mul(0b10, 0b10) == 0b11
     for q in (3, 8, 80):
         ctx = field(q)
-        assert gf_mul(ctx, 0, (1 << q) - 1) == 0
+        assert ctx.mul(0, (1 << q) - 1) == 0
 
 
 def test_mul_matches_list_oracle_randomized():
@@ -127,12 +142,11 @@ def test_argument_validation():
         ctx.add(1 << 4, 0)
     with pytest.raises(ValueError):
         ctx.mul(0, -1)
-    with pytest.raises(CapacityError):
-        GFContext(MAX_FIELD_BITS + 1)
-    with pytest.raises(ValueError):
-        GFContext(2, modulus=0b101)  # reducible
-    with pytest.raises(ValueError):
-        GFContext(2, modulus=0b110)  # no constant term
+    for q in (0, MAX_FIELD_BITS + 1):
+        with pytest.raises(CapacityError):
+            GFContext(q)
+        with pytest.raises(CapacityError):
+            field(q)
 
 
 # ---------- field axioms ----------

@@ -1,7 +1,7 @@
 """Verification-oracle tests.
 
 The reference checker below evaluates the pair correlations by the raw
-triple loop over (a, x, x', y) with nothing but gf_mul and ext_ip, so the
+triple loop over (a, x, x', y) with nothing but ctx.mul and ext_ip, so the
 packaged methods (Gram-matrix "direct" and histogram "counts") are both
 validated against an implementation with zero shared structure.  The
 XOR-linearity identities that justify the counts method's pair-to-
