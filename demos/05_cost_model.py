@@ -5,9 +5,9 @@ One block of the headline configuration (n=71 elements of 80 bits) costs
 80 XORs per addition and a budgeted 4885 bit-ops per multiplication.  On a
 device with 3x10^5 LUTs at 5 ops each and a 200 MHz clock, four such
 blocks fit in parallel, projecting 64 Gbps of output.  That parallelism
-is the hardware-lane model; the software path runs blocks in order on one
-thread, and its single measured rate on the same plan shape is printed
-below, for scale.
+is the hardware-lane model; the software path runs on one thread,
+computing batches of equal-width blocks with numpy, and its single measured
+rate on the same plan shape is printed below, for scale.
 """
 
 from blockext import (

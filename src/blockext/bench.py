@@ -24,6 +24,10 @@ from .extractor import extract_eq
 from .params import EqPlan
 
 DEFAULT_MUL_OPS_Q80 = 4885  # published circuit budget for one 80-bit multiply
+# Shortest measured window whose rate measure_throughput trusts; timer
+# resolution and per-pass set-up make shorter windows noisy even when they
+# hold several passes.
+MIN_STEADY_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -106,9 +110,10 @@ def measure_throughput(
 
     Pre-generates pseudorandom in-memory input, runs repeated passes for
     roughly `duration_s` seconds of wall time after a 10% warm-up, and
-    reports the sustained output bit rate.  The matching gate-model cost is
-    included so measured software rates can sit next to the hardware
-    projection they approximate.
+    reports the sustained output bit rate, with a warning when the measured
+    window holds fewer than 3 passes or lasts under MIN_STEADY_S seconds.
+    The matching gate-model cost is included so measured software rates can
+    sit next to the hardware projection they approximate.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -145,6 +150,11 @@ def measure_throughput(
     if passes < 3:
         warnings.append(
             f"only {passes} measurement passes; duration too short for steady state"
+        )
+    elif elapsed < MIN_STEADY_S:
+        warnings.append(
+            f"measured window {elapsed:.3f} s is under {MIN_STEADY_S} s; "
+            "duration too short for steady state"
         )
     cost = gate_count(plan.vec_len, plan.field_bits, mul_ops) if mul_ops else None
     return ThroughputReport(

@@ -12,6 +12,8 @@ from __future__ import annotations
 import io
 from typing import BinaryIO
 
+import numpy as np
+
 READ_SIZE = 1 << 16  # bytes asked of the stream per buffered read
 
 
@@ -19,29 +21,62 @@ class BitReader:
     """Consume a binary stream as a flat little-endian bit sequence.
 
     Accepts any object with ``read(size) -> bytes`` (or raw ``bytes``, which
-    are wrapped in a BytesIO).  Reads are buffered; the reader keeps exact
-    counts so callers can account for every bit, including a final partial
-    tail that is too short to serve a request.
+    are wrapped in a BytesIO).  Reads are buffered in a byte buffer with a bit
+    offset, so each read costs time in proportion to the bits it returns.
+    The reader keeps exact counts so callers can account for every bit,
+    including a final partial tail that is too short to serve a request.
+
+    Besides :meth:`read_bits`, a caller can :meth:`fill` the buffer, look at
+    buffered bits with :meth:`peek` and commit them later with
+    :meth:`advance`; only committed bits count as consumed.
     """
 
     def __init__(self, stream: BinaryIO | bytes | bytearray):
         if isinstance(stream, (bytes, bytearray)):
             stream = io.BytesIO(bytes(stream))
         self._stream = stream
-        self._buf = 0
-        self._buf_bits = 0
+        self._buf = bytearray()  # bytes read and not yet dropped
+        self._pos = 0            # bit offset in _buf of the next unconsumed bit
         self._exhausted = False
         self.bits_consumed = 0
 
-    def _fill(self, want_bits: int) -> None:
-        while self._buf_bits < want_bits and not self._exhausted:
-            need = max(READ_SIZE, (want_bits - self._buf_bits + 7) // 8)
+    def fill(self, nbits: int) -> bool:
+        """Buffer at least nbits unconsumed bits if the stream has them.
+
+        Returns whether they are buffered.  Each stream read asks for
+        max(READ_SIZE, missing bytes), so the bytes taken from the stream
+        depend only on the sequence of fill targets.
+        """
+        while self.tail_bits() < nbits and not self._exhausted:
+            need = max(READ_SIZE, (nbits - self.tail_bits() + 7) // 8)
             chunk = self._stream.read(need)
             if not chunk:
                 self._exhausted = True
                 break
-            self._buf |= int.from_bytes(chunk, "little") << self._buf_bits
-            self._buf_bits += 8 * len(chunk)
+            del self._buf[: self._pos >> 3]
+            self._pos &= 7
+            self._buf += chunk
+        return self.tail_bits() >= nbits
+
+    def peek(self, offset: int, nbits: int) -> np.ndarray:
+        """Unconsumed bits [offset, offset + nbits) as a uint8 array of 0/1.
+
+        The bits must be buffered (see :meth:`fill`); nothing is consumed.
+        """
+        if offset < 0 or nbits < 0 or offset + nbits > self.tail_bits():
+            raise ValueError(f"bits [{offset}, {offset + nbits}) are not buffered")
+        start = self._pos + offset
+        first = start >> 3
+        raw = np.frombuffer(self._buf, np.uint8, (start + nbits + 7) // 8 - first, first)
+        skip = start & 7
+        return np.unpackbits(raw, bitorder="little")[skip: skip + nbits]
+
+    def advance(self, nbits: int) -> None:
+        """Consume nbits buffered bits."""
+        if not 0 <= nbits <= self.tail_bits():
+            raise ValueError(f"cannot consume {nbits} of {self.tail_bits()} buffered bits")
+        self._pos += nbits
+        self.bits_consumed += nbits
 
     def read_bits(self, nbits: int) -> int | None:
         """Next nbits of the stream as an int, or None if fewer remain.
@@ -51,42 +86,62 @@ class BitReader:
         """
         if nbits <= 0:
             raise ValueError("nbits must be positive")
-        self._fill(nbits)
-        if self._buf_bits < nbits:
+        if not self.fill(nbits):
             return None
-        value = self._buf & ((1 << nbits) - 1)
-        self._buf >>= nbits
-        self._buf_bits -= nbits
-        self.bits_consumed += nbits
+        start = self._pos
+        raw = self._buf[start >> 3: (start + nbits + 7) >> 3]
+        value = (int.from_bytes(raw, "little") >> (start & 7)) & ((1 << nbits) - 1)
+        self.advance(nbits)
         return value
 
     def tail_bits(self) -> int:
-        """Bits still buffered once the underlying stream is exhausted."""
-        return self._buf_bits
+        """Bits buffered but not consumed; once the stream is exhausted, its tail."""
+        return 8 * len(self._buf) - self._pos
 
 
 class BitWriter:
-    """Accumulate values as a flat little-endian bit sequence."""
+    """Pack values into a flat little-endian bit sequence.
+
+    Completed bytes are kept until :meth:`take` hands them out; at most 7
+    bits are pending between writes, so each write costs time in proportion
+    to its own width.
+    """
 
     def __init__(self):
-        self._buf = 0
-        self._buf_bits = 0
+        self._done = bytearray()  # completed bytes not yet taken
+        self._acc = 0             # pending bits, fewer than 8
+        self._acc_bits = 0
+        self._bit_length = 0
 
     def write_bits(self, value: int, nbits: int) -> None:
         if value < 0 or value >> nbits:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self._buf |= value << self._buf_bits
-        self._buf_bits += nbits
+        acc = self._acc | value << self._acc_bits
+        total = self._acc_bits + nbits
+        whole = total >> 3
+        if whole:
+            self._done += (acc & ((1 << 8 * whole) - 1)).to_bytes(whole, "little")
+            acc >>= 8 * whole
+        self._acc, self._acc_bits = acc, total & 7
+        self._bit_length += nbits
 
     @property
     def bit_length(self) -> int:
-        return self._buf_bits
+        """Bits written so far, taken or not."""
+        return self._bit_length
+
+    def take(self) -> bytes:
+        """The completed bytes not taken before; the pending bits stay."""
+        data = bytes(self._done)
+        self._done.clear()
+        return data
 
     def getvalue(self) -> tuple[bytes, int]:
-        """Packed bytes and the number of zero pad bits in the last byte."""
-        pad = (-self._buf_bits) % 8
-        nbytes = (self._buf_bits + pad) // 8
-        return self._buf.to_bytes(nbytes, "little"), pad
+        """Bytes not yet taken, the pending bits zero-padded into a last
+        byte, and the number of pad bits."""
+        pad = (-self._acc_bits) % 8
+        tail = self._acc.to_bytes(1, "little") if self._acc_bits else b""
+        return bytes(self._done) + tail, pad
 
 
 def pack_values(values, width: int) -> tuple[bytes, int]:

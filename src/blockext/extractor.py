@@ -15,19 +15,25 @@ before it (q being that block's width), in both modes.
 
 Blocks are independent, which is what lets hardware run several block
 lanes side by side (the lane model is :func:`blockext.bench.projected_speed`).
-In software the multiply is pure-Python integer work that holds the
-interpreter lock, so every block runs in order on the calling thread.
+In software, :class:`Extraction` computes each run of equal-width blocks in
+batches with numpy: the inner product's unreduced carry-less product is a
+GF(2) bit-matrix product, and each block is reduced once, at the end (see
+:func:`_inner_products`).  :func:`ext_ip` stays as the independent scalar
+reference; the two share only the shipped modulus table.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
+import numpy as np
+
+from ._moduli import modulus_int
 from .bitio import BitReader, BitWriter
-from .gf2q import GFContext, MAX_FIELD_BITS, field
+from .gf2q import GFContext, MAX_FIELD_BITS
 from .params import EqPlan, NeqPlan, error_bound_eq, error_bound_neq
 from .report import ExtractionReport
 
@@ -52,6 +58,76 @@ def ext_ip(ctx: GFContext, x: Sequence[int], y: Sequence[int]) -> int:
     for xi, yi in zip(x, y):
         acc ^= mul(xi, yi)
     return acc
+
+
+# ---------- the batched block engine ----------
+
+# Working-set budget of one batch: blocks * q * max(q, n) stays below it, so
+# the decoded bits and the q x q parity matrices of a batch take at most
+# this many bytes each, whatever the window size.
+_BATCH_BUDGET = 1 << 17
+# Elements per float32 matrix product.  Every count stays at most 255, so
+# the uint8 cast that keeps its parity is exact, and q*q*step stays within
+# the size OpenBLAS computes on the calling thread; larger products wake its
+# worker threads, which cost milliseconds per call on a busy machine.
+_GEMM_CELLS = 1 << 18
+
+
+def _batch_size(q: int, n: int) -> int:
+    """Blocks of width q computed together: a constant of the working-set budget."""
+    return max(1, _BATCH_BUDGET // (q * max(q, n)))
+
+
+@lru_cache(maxsize=8)
+def _reduction_matrix(q: int) -> np.ndarray:
+    """(2q-1) x q float32 GF(2) matrix whose row k holds the bits of x^k mod f."""
+    f = modulus_int(q)
+    rows, r = [], 1
+    for _ in range(2 * q - 1):
+        rows.append(r)
+        r <<= 1
+        if r >> q:
+            r ^= f
+    nbytes = (q + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in rows), np.uint8)
+    bits = np.unpackbits(raw, bitorder="little").reshape(2 * q - 1, 8 * nbytes)[:, :q]
+    matrix = bits.astype(np.float32)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _inner_products(x: BitReader, y: BitReader, blocks: int, q: int, n: int) -> np.ndarray:
+    """Output bits (blocks, q) of the next `blocks` blocks of width q.
+
+    The blocks' windows must be buffered in both readers; nothing is
+    consumed.  For one block with element bit matrices X and Y (n x q),
+    C = X^T Y counts, for each pair of bit positions (i, j), the elements
+    whose x-bit i and y-bit j are both set, so the parities of the sums of
+    C's anti-diagonals i + j = k are the 2q-1 coefficients of the unreduced
+    sum of carry-less products.  One multiply by the reduction matrix then
+    reduces that sum modulo the field's modulus.
+    """
+    step = max(1, min(255, _GEMM_CELLS // (q * q)))
+    span = min(n, _BATCH_BUDGET // q)  # elements decoded at once; below n only if blocks == 1
+    parity = np.zeros((blocks, q, q), np.uint8)
+    for lo in range(0, n, span):
+        hi = min(n, lo + span)
+        # One block, or whole windows: either way the bits are contiguous.
+        xs = x.peek(lo * q, blocks * (hi - lo) * q).reshape(blocks, hi - lo, q)
+        ys = y.peek(lo * q, blocks * (hi - lo) * q).reshape(blocks, hi - lo, q)
+        for k in range(0, hi - lo, step):
+            xf = xs[:, k:k + step].astype(np.float32)
+            yf = ys[:, k:k + step].astype(np.float32)
+            parity ^= np.matmul(xf.transpose(0, 2, 1), yf).astype(np.uint8)
+    # Shift row i of each parity matrix right by i: padded rows of 2q cut
+    # to 2q-1 put C[i, j] in column i + j, so column sums are the
+    # anti-diagonal sums.
+    padded = np.zeros((blocks, q, 2 * q), np.uint8)
+    np.bitwise_and(parity, 1, out=padded[:, :, :q])
+    skewed = padded.reshape(blocks, 2 * q * q)[:, :q * (2 * q - 1)].reshape(blocks, q, 2 * q - 1)
+    product = skewed.sum(axis=1, dtype=np.uint8) & 1
+    reduced = product.astype(np.float32) @ _reduction_matrix(q)
+    return reduced.astype(np.uint8) & 1
 
 
 class Extraction:
@@ -93,20 +169,28 @@ class Extraction:
         self.report: ExtractionReport | None = None
 
     def __iter__(self) -> Iterator[OutputChunk]:
+        return self._iterate(None, None)
+
+    def _iterate(self, sink, writer: BitWriter | None) -> Iterator[OutputChunk]:
         if self._started:
             raise RuntimeError("an Extraction is single-use; create a new one")
         self._started = True
         t0 = time.perf_counter()
         try:
-            yield from self._chunks()
-        except GeneratorExit:
-            # The consumer closed the iterator before the schedule ended.
+            yield from self._chunks(sink, writer)
+        except BaseException:
+            # The consumer closed the iterator, or a read, a write or the
+            # caller failed, before the schedule ended.
             self._stop_reason = "interrupted"
             raise
         finally:
             self._finalize(time.perf_counter() - t0)
 
-    def _chunks(self) -> Iterator[OutputChunk]:
+    def _chunks(self, sink, writer: BitWriter | None) -> Iterator[OutputChunk]:
+        # Computes each run of equal-width blocks of the schedule in batches
+        # (in incremental mode a run is one block), but consumes a block's
+        # windows only as its chunk is yielded, and reads the streams exactly
+        # as a block-by-block read would (see _ready_blocks).
         n = self.plan.vec_len
         limit = self._block_limit
         while limit is None or self._blocks_done < limit:
@@ -114,19 +198,55 @@ class Extraction:
             if width > MAX_FIELD_BITS:
                 self._stop_reason = "width-cap"
                 return
-            ctx = field(width)
-            xw = self._x.read_bits(width * n)
-            yw = self._y.read_bits(width * n)
-            if xw is None or yw is None:
+            window = width * n
+            want = 1 if self._width_step else _batch_size(width, n)
+            if limit is not None:
+                want = min(want, limit - self._blocks_done)
+            ready = self._ready_blocks(want, window)
+            if ready:
+                bits = _inner_products(self._x, self._y, ready, width, n)
+                nbytes = (width + 7) // 8
+                packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+                for i in range(ready):
+                    self._x.advance(window)
+                    self._y.advance(window)
+                    self._blocks_done += 1
+                    self._output_bits += width
+                    value = int.from_bytes(packed[i * nbytes:(i + 1) * nbytes], "little")
+                    yield OutputChunk(self._blocks_done, value, width)
+                if writer is not None:
+                    stream = np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+                    writer.write_bits(int.from_bytes(stream, "little"), ready * width)
+                    data = writer.take()
+                    if data:
+                        sink.write(data)
+            if ready < want:
+                # A block-by-block read would have asked both streams for the
+                # next window; the one that had it consumed it.
+                for reader in (self._x, self._y):
+                    if reader.tail_bits() >= window:
+                        reader.advance(window)
                 self._stop_reason = "input-exhausted"
                 return
-            mask = ctx.mask
-            xs = [(xw >> (j * width)) & mask for j in range(n)]
-            ys = [(yw >> (j * width)) & mask for j in range(n)]
-            self._blocks_done += 1
-            self._output_bits += width
-            yield OutputChunk(self._blocks_done, ext_ip(ctx, xs, ys), width)
         self._stop_reason = "completed" if limit == self._planned_blocks else "block-limit"
+
+    def _ready_blocks(self, want: int, window: int) -> int:
+        """Fill both readers for up to `want` blocks; how many both can serve.
+
+        Fills block by block, x then y, and stops at the first block either
+        stream cannot serve, so the bytes taken from each stream (and hence
+        the buffered tail a report charges on exhaustion) match a
+        block-by-block read.
+        """
+        x, y = self._x, self._y
+        if x.tail_bits() >= want * window and y.tail_bits() >= want * window:
+            return want
+        for i in range(1, want + 1):
+            x_ok = x.fill(i * window)
+            y_ok = y.fill(i * window)
+            if not (x_ok and y_ok):
+                return i - 1
+        return want
 
     def _finalize(self, wall: float) -> None:
         k = self._blocks_done
@@ -166,16 +286,18 @@ class Extraction:
         """Consume the whole run; optionally pack chunks into `sink`.
 
         Chunk bits are concatenated in block order and packed little-endian
-        into bytes; the final partial byte is zero-padded and the pad length
-        recorded in the report.
+        into bytes, which are written to `sink` as each batch of blocks
+        completes; fewer than 8 bits wait for the next batch.  The final
+        partial byte is zero-padded and the pad length recorded in the
+        report.
         """
         writer = BitWriter() if sink is not None else None
-        for chunk in self:
-            if writer is not None:
-                writer.write_bits(chunk.bits, chunk.width)
+        for _ in self._iterate(sink, writer):
+            pass
         if writer is not None:
             data, pad = writer.getvalue()
-            sink.write(data)
+            if data:
+                sink.write(data)
             self.report.pad_bits = pad
         return self.report
 

@@ -65,6 +65,37 @@ def test_writer_padding():
         w.write_bits(4, 2)
 
 
+def test_reader_peek_consumes_nothing_until_advance():
+    r = BitReader(DribbleIO(bytes([0xAB, 0xCD, 0xEF]), 1))
+    assert r.fill(12) and r.bits_consumed == 0
+    assert list(r.peek(4, 8)) == [0, 1, 0, 1, 1, 0, 1, 1]   # 0xBA, LSB first
+    assert r.bits_consumed == 0
+    r.advance(4)
+    assert r.bits_consumed == 4 and r.read_bits(8) == 0xDA
+    with pytest.raises(ValueError):
+        r.peek(0, r.tail_bits() + 1)
+    with pytest.raises(ValueError):
+        r.advance(r.tail_bits() + 1)
+    assert not r.fill(13) and r.tail_bits() == 12
+
+
+@given(st.lists(st.tuples(st.integers(1, 200), st.integers(0, 2**200)), max_size=30))
+def test_writer_hands_out_whole_bytes_as_they_complete(writes):
+    w = BitWriter()
+    taken = b""
+    expected, total = 0, 0
+    for nbits, value in writes:
+        value &= (1 << nbits) - 1
+        w.write_bits(value, nbits)
+        taken += w.take()
+        expected |= value << total
+        total += nbits
+        assert w.bit_length == total and len(taken) == total // 8
+    rest, pad = w.getvalue()
+    assert pad == (-total) % 8
+    assert taken + rest == expected.to_bytes((total + 7) // 8, "little")
+
+
 @given(st.lists(st.integers(0, 2**11 - 1), min_size=0, max_size=40))
 def test_pack_unpack_round_trip(values):
     data, pad = pack_values(values, 11)

@@ -2,16 +2,18 @@
 
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockext.bitio import pack_values
-from blockext.extractor import ext_ip, extract_eq, extract_neq
-from blockext.gf2q import field
+from blockext.bitio import READ_SIZE, pack_values, unpack_values
+from blockext.extractor import _batch_size, ext_ip, extract_eq, extract_neq
+from blockext.gf2q import MAX_FIELD_BITS, field
 from blockext.params import (
     EqPlan,
+    NeqPlan,
     as_rational,
     error_bound_eq,
     error_bound_neq,
@@ -238,19 +240,68 @@ def test_stop_reasons(case):
     assert rep.log2_error_bound == bound
 
 
+def test_exhausted_run_reads_the_streams_block_by_block():
+    # 40-bit windows, one batch of 80 blocks; y ends inside window 4.  A
+    # block-by-block reader takes x up to the end of window 4 (it reads x
+    # before finding y short) and charges what it took but did not use.
+    plan = tiny_eq_plan(8, 400, "3/4", 5, 8)
+    assert _batch_size(8, 5) >= plan.num_blocks
+    rnd = random.Random(19)
+    xb, yb = rnd.randbytes(50), rnd.randbytes(18)
+    for step, x_taken in ((1, 20), (3, 21), (7, 21), (64, 50)):
+        run = extract_eq(DribbleIO(xb, step), DribbleIO(yb, step), plan)
+        assert len(list(run)) == 3
+        rep = run.report
+        assert rep.stop_reason == "input-exhausted"
+        assert (rep.x_bits_consumed, rep.y_bits_consumed) == (160, 120)
+        assert rep.x_discarded_tail_bits == 8 * x_taken - 120
+        assert rep.y_discarded_tail_bits == 144 - 120
+
+
 def test_consumer_stopping_early_still_gets_a_report():
     rnd = random.Random(16)
     xb, yb = rnd.randbytes(400), rnd.randbytes(400)
-    for run in (extract_eq(xb, yb, tiny_eq_plan(8, 400, "3/4", 5, 8)),
-                extract_neq(xb, yb, plan_neq(8, "3/4", 8, 1))):
+    many = tiny_eq_plan(8, 400, "3/4", 5, 8)   # 80 blocks of 40 bits, one batch
+    assert _batch_size(8, 5) >= many.num_blocks
+    cases = (
+        (extract_eq(xb, yb, tiny_eq_plan(8, 400, "3/4", 5, 8)), 1, 40),
+        (extract_neq(xb, yb, plan_neq(8, "3/4", 8, 1)), 1, 8 * 48),
+        # closed mid-batch: blocks 4.. are computed but must not count
+        (extract_eq(xb, yb, many), 3, 3 * 40),
+    )
+    for run, taken, consumed in cases:
         chunks = iter(run)
-        assert next(chunks).index == 1
+        assert [next(chunks).index for _ in range(taken)] == list(range(1, taken + 1))
         chunks.close()
-        assert run.report.blocks_completed == 1
-        assert run.report.output_bits == 8
+        assert run.report.blocks_completed == taken
+        assert run.report.output_bits == 8 * taken
         assert run.report.stop_reason == "interrupted"
+        assert run.report.x_bits_consumed == run.report.y_bits_consumed == consumed
         assert run.report.x_discarded_tail_bits == 0
         assert run.report.y_discarded_tail_bits == 0
+
+
+def test_sink_receives_bytes_while_blocks_remain():
+    rnd = random.Random(17)
+    plan = tiny_eq_plan(16, 16384, "10.74/16", 71, 80)   # 46 blocks
+    assert plan.num_blocks > 2 * _batch_size(80, 71)
+    xb, yb = rnd.randbytes(32768), rnd.randbytes(32768)
+
+    class RecordingSink(io.BytesIO):
+        def write(self, data):
+            writes.append((len(data), run.report is None))
+            return super().write(data)
+
+    writes = []
+    run = extract_eq(xb, yb, plan)
+    sink = RecordingSink()
+    report = run.run(sink)
+    assert writes[0][0] > 0 and writes[0][1]     # written before the run ended
+    assert len(writes) >= plan.num_blocks // _batch_size(80, 71)
+    whole = io.BytesIO()
+    extract_eq(xb, yb, plan).run(whole)
+    assert sink.getvalue() == whole.getvalue()
+    assert len(sink.getvalue()) * 8 == report.output_bits + report.pad_bits
 
 
 def test_empty_streams():
@@ -284,6 +335,141 @@ def test_report_text_round_trip():
     assert parsed == rep
     assert rep.pad_bits == (-rep.output_bits) % 8
     assert len(sink.getvalue()) * 8 == rep.output_bits + rep.pad_bits
+
+
+# ---------- the batched engine against the scalar reference ----------
+
+READ_STEPS = [1, 2, 3, 7, 100, 4096, READ_SIZE - 1, READ_SIZE, READ_SIZE + 1, 1 << 20]
+
+
+def _elements(data, offset, width, n):
+    """The n width-bit elements starting at bit `offset` of `data`."""
+    first, shift = divmod(offset, 8)
+    value = int.from_bytes(data[first:first + (shift + width * n + 7) // 8], "little") >> shift
+    return unpack_values(value.to_bytes((width * n + 7) // 8 + 1, "little"), width, n)
+
+
+def _bytes_taken(length, step, targets):
+    """Bytes a block-by-block reader takes from a `length`-byte stream served
+    at most `step` bytes per read, asked in turn for each cumulative bit target."""
+    total = 0
+    for target in targets:
+        while 8 * total < target and total < length:
+            total += min(max(READ_SIZE, (target - 8 * total + 7) // 8), step, length - total)
+    return total
+
+
+def _reference_run(plan, xb, yb, steps, max_blocks):
+    """Chunks and report counters by the scalar rules, one block at a time."""
+    n = plan.vec_len
+    if isinstance(plan, EqPlan):
+        planned, planned_bits = plan.num_blocks, plan.num_samples * plan.bits_per_sample
+        width_of = lambda i: plan.field_bits
+    else:
+        planned, planned_bits = None, None
+        width_of = plan.field_bits_for_block
+    limits = [v for v in (planned, max_blocks) if v is not None]
+    limit = min(limits) if limits else None
+    chunks, used, targets = [], 0, []
+    while True:
+        if limit is not None and len(chunks) == limit:
+            stop = "completed" if limit == planned else "block-limit"
+            break
+        width = width_of(len(chunks) + 1)
+        if width > MAX_FIELD_BITS:
+            stop = "width-cap"
+            break
+        window = width * n
+        targets.append(used + window)
+        ok = [8 * len(d) >= used + window for d in (xb, yb)]
+        if not all(ok):
+            # x is read before y, and each read that succeeds consumes its window
+            consumed = [used + window if o else used for o in ok]
+            stop = "input-exhausted"
+            break
+        value = ext_ip(field(width), _elements(xb, used, width, n), _elements(yb, used, width, n))
+        chunks.append((len(chunks) + 1, value, width))
+        used += window
+    if stop == "input-exhausted":
+        discarded = [8 * _bytes_taken(len(d), step, targets) - used
+                     for d, step in zip((xb, yb), steps)]
+    else:
+        consumed = [used, used]
+        remainder = planned_bits - used if stop == "completed" and planned_bits else 0
+        discarded = [remainder, remainder]
+    return chunks, stop, consumed, discarded
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_batched_engine_matches_scalar_reference(data):
+    mode = data.draw(st.sampled_from(["eq", "neq"]), label="mode")
+    q = data.draw(st.integers(1, MAX_FIELD_BITS), label="q")
+    n = data.draw(st.integers(1, 80), label="n")
+    growth = 0 if mode == "eq" else data.draw(st.integers(0, 3), label="growth")
+    batch = _batch_size(q, n)
+    if growth == 0 and batch <= 600:   # straddle the batch boundary
+        blocks = max(1, data.draw(st.sampled_from([batch - 1, batch, batch + 1, 2 * batch + 1])))
+    else:
+        blocks = data.draw(st.integers(1, 6))
+    windows = [w * n for w in (q + i * growth for i in range(blocks)) if w <= MAX_FIELD_BITS]
+    need = sum(windows)
+    window = windows[0]
+    enough, short = st.integers(0, window - 1), st.integers(-window, -1)
+    if mode == "eq":
+        samples = max(1, need + data.draw(st.one_of(enough, enough, short), label="extra"))
+        plan = tiny_eq_plan(1, samples, "3/4", n, q)
+    else:
+        plan = NeqPlan(1, Fraction(3, 4), n, q, growth, None)
+    y_len = max(0, need + data.draw(st.one_of(enough, enough, short), label="y_extra")) // 8
+    longer = y_len + window // 8 + 1 + data.draw(st.integers(0, window // 4))  # > one window
+    x_len = data.draw(st.sampled_from([y_len, y_len, longer, longer, max(0, y_len - 1 - window // 8)]),
+                      label="x_len")
+    rnd = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    xb, yb = rnd.randbytes(x_len), rnd.randbytes(y_len)
+    steps = (data.draw(st.sampled_from(READ_STEPS)), data.draw(st.sampled_from(READ_STEPS)))
+    max_blocks = data.draw(st.one_of(st.none(), st.none(), st.integers(1, blocks + 1)),
+                           label="max_blocks")
+    extract = extract_eq if mode == "eq" else extract_neq
+
+    chunks, stop, consumed, discarded = _reference_run(plan, xb, yb, steps, max_blocks)
+    run = extract(DribbleIO(xb, steps[0]), DribbleIO(yb, steps[1]), plan, max_blocks=max_blocks)
+    assert [(c.index, c.bits, c.width) for c in run] == chunks
+    sink = io.BytesIO()
+    rep = extract(DribbleIO(xb, steps[0]), DribbleIO(yb, steps[1]), plan,
+                  max_blocks=max_blocks).run(sink)
+    rep.wall_time_s = run.report.wall_time_s = 0.0
+    run.report.pad_bits = rep.pad_bits   # only run() packs
+    assert rep == run.report
+    assert rep.stop_reason == stop
+    assert rep.blocks_completed == len(chunks)
+    assert rep.output_bits == sum(w for _, _, w in chunks)
+    assert [rep.x_bits_consumed, rep.y_bits_consumed] == consumed
+    assert [rep.x_discarded_tail_bits, rep.y_discarded_tail_bits] == discarded
+    bits = sum(v << off for v, off in zip(
+        (v for _, v, _ in chunks), [sum(w for *_, w in chunks[:i]) for i in range(len(chunks))]))
+    assert sink.getvalue() == bits.to_bytes((rep.output_bits + 7) // 8, "little")
+    assert rep.pad_bits == (-rep.output_bits) % 8
+
+
+def test_one_block_near_rate_one_half_matches_scalar_reference():
+    # n = ceil(24 / (2*rate - 1)) grows without bound as rate -> 1/2; the
+    # engine decodes and multiplies the window in pieces.
+    n = plan_neq(1, "0.5005", 80, 1).vec_len
+    assert n == 24000
+    plan = tiny_eq_plan(1, 80 * n, "0.5005", n, 80)
+    rnd = random.Random(18)
+    xb, yb = rnd.randbytes(10 * n), rnd.randbytes(10 * n)
+    tracemalloc.start()
+    try:
+        chunks = list(extract_eq(xb, yb, plan))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Decoding both whole windows at once would take 2*80*n bytes = 3.84 MB.
+    assert peak < 2_000_000
+    assert len(chunks) == 1
+    assert chunks[0].bits == ext_ip(field(80), unpack_values(xb, 80, n), unpack_values(yb, 80, n))
 
 
 # ---------- equivalence of the two modes ----------
