@@ -45,11 +45,17 @@ class BitReader:
 
         Returns whether they are buffered.  Each stream read asks for
         max(READ_SIZE, missing bytes), so the bytes taken from the stream
-        depend only on the sequence of fill targets.
+        depend only on the sequence of fill targets.  Only an empty read is
+        the end of the stream: a non-blocking stream that has no data ready
+        (its read returns None) raises BlockingIOError.
         """
         while self.tail_bits() < nbits and not self._exhausted:
             need = max(READ_SIZE, (nbits - self.tail_bits() + 7) // 8)
             chunk = self._stream.read(need)
+            if chunk is None:
+                raise BlockingIOError(
+                    "the stream has no data ready (non-blocking read); "
+                    "sources must be blocking streams")
             if not chunk:
                 self._exhausted = True
                 break

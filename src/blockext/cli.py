@@ -9,6 +9,7 @@ failure.  All configuration is explicit flags; no environment variables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -89,36 +90,22 @@ def cmd_params(args) -> int:
     return 0
 
 
-class _SourcePair:
+@contextlib.contextmanager
+def _open_sources(x_path: str, y_path: str):
     """The two input streams: distinct files, at most one standard input ('-')."""
-
-    def __init__(self, x_path: str, y_path: str):
-        if x_path == "-" and y_path == "-":
-            raise ValueError(
-                "the two sources must be physically independent streams; "
-                "at most one may be standard input"
-            )
-        if "-" not in (x_path, y_path) and os.path.samefile(x_path, y_path):
-            raise ValueError(
-                "the two sources must be physically independent streams; "
-                f"{x_path} and {y_path} are the same file"
-            )
-        self._paths = (x_path, y_path)
-        self._handles = []
-
-    def __enter__(self):
-        for path in self._paths:
-            if path == "-":
-                self._handles.append(sys.stdin.buffer)
-            else:
-                self._handles.append(open(path, "rb"))
-        return self._handles
-
-    def __exit__(self, *exc):
-        for path, handle in zip(self._paths, self._handles):
-            if path != "-":
-                handle.close()
-        return False
+    if x_path == "-" and y_path == "-":
+        raise ValueError(
+            "the two sources must be physically independent streams; "
+            "at most one may be standard input"
+        )
+    if "-" not in (x_path, y_path) and os.path.samefile(x_path, y_path):
+        raise ValueError(
+            "the two sources must be physically independent streams; "
+            f"{x_path} and {y_path} are the same file"
+        )
+    with contextlib.ExitStack() as stack:
+        yield [sys.stdin.buffer if path == "-" else stack.enter_context(open(path, "rb"))
+               for path in (x_path, y_path)]
 
 
 def cmd_extract_eq(args) -> int:
@@ -129,7 +116,7 @@ def cmd_extract_eq(args) -> int:
         usable = min(os.path.getsize(args.x), os.path.getsize(args.y))
         default_samples = usable * 8 // int(args.b)
     plan = _eq_plan_from_args(args, default_samples)
-    with _SourcePair(args.x, args.y) as (fx, fy):
+    with _open_sources(args.x, args.y) as (fx, fy):
         run = extract_eq(fx, fy, plan, workers=args.workers)
         with open(args.out, "wb") as out:
             report = run.run(out)
@@ -140,7 +127,7 @@ def cmd_extract_eq(args) -> int:
 def cmd_extract_neq(args) -> int:
     plan = plan_neq(int(args.b), as_rational(args.delta, "delta"),
                     first_field_bits=int(args.q1), growth=int(args.growth))
-    with _SourcePair(args.x, args.y) as (fx, fy):
+    with _open_sources(args.x, args.y) as (fx, fy):
         run = extract_neq(fx, fy, plan, workers=args.workers,
                           max_blocks=args.max_blocks)
         with open(args.out, "wb") as out:

@@ -11,13 +11,17 @@ document starts with a versioned header line, then `key = value` lines:
 Values are decimal integers, full-precision float reprs, `num/den`
 fractions, `true`/`false`, or bare strings.  The format is diffable and
 trivially parseable, which the tests rely on for byte-exact round trips.
+
+A document's keys are its dataclass's fields in declaration order (a
+report's plan expanded in place as `plan.*` keys), None fields left out.
+Parsers type each value by its field, default absent keys, ignore unknown ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 from . import params as _params
 
@@ -26,10 +30,7 @@ HEADER = "blockext-report v1"
 
 def format_document(kind: str, fields: dict[str, Any]) -> str:
     lines = [HEADER, f"kind = {kind}"]
-    for key, value in fields.items():
-        if value is None:
-            continue
-        lines.append(f"{key} = {_encode(value)}")
+    lines += [f"{key} = {_encode(value)}" for key, value in fields.items() if value is not None]
     return "\n".join(lines) + "\n"
 
 
@@ -61,62 +62,59 @@ def _encode(value: Any) -> str:
 
 # ---------- plan documents ----------
 
+_PLAN_KINDS = {"eq-plan": _params.EqPlan, "neq-plan": _params.NeqPlan}
+
+
+def _field_values(obj, prefix: str = "") -> dict[str, Any]:
+    values: dict[str, Any] = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            values.update(_field_values(value, f"{prefix}{f.name}."))
+        else:
+            values[prefix + f.name] = value
+    return values
+
+
+def _decode(tp: Any, text: str) -> Any:
+    # `X | None` decodes as X: an absent key, not a value, stands for None.
+    tp = next((a for a in get_args(tp) if a is not type(None)), tp)
+    if tp is bool and text not in ("true", "false"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return text == "true" if tp is bool else tp(text)
+
+
+def _from_values(cls, values: dict[str, str], prefix: str = "", **given):
+    """Dataclass cls from the document's `prefix + field` keys, beyond `given`."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        key = prefix + f.name
+        if f.name in given:
+            continue
+        if key in values:
+            given[f.name] = _decode(hints[f.name], values[key])
+        elif f.default is MISSING:
+            if type(None) not in get_args(hints[f.name]):
+                raise ValueError(f"{cls.__name__} document lacks the required key {key!r}")
+            given[f.name] = None
+    return cls(**given)
+
+
+def _plan_from_values(kind: str, values: dict[str, str], prefix: str = ""):
+    if kind not in _PLAN_KINDS:
+        raise ValueError(f"unknown plan kind {kind!r}")
+    return _from_values(_PLAN_KINDS[kind], values, prefix)
+
+
 def plan_to_text(plan) -> str:
-    if isinstance(plan, _params.EqPlan):
-        return format_document(
-            "eq-plan",
-            {
-                "bits_per_sample": plan.bits_per_sample,
-                "num_samples": plan.num_samples,
-                "entropy_rate": plan.entropy_rate,
-                "epsilon": plan.epsilon,
-                "vec_len": plan.vec_len,
-                "field_bits": plan.field_bits,
-                "num_blocks": plan.num_blocks,
-                "output_bits": plan.output_bits,
-                "log2_error": plan.log2_error,
-            },
-        )
-    if isinstance(plan, _params.NeqPlan):
-        return format_document(
-            "neq-plan",
-            {
-                "bits_per_sample": plan.bits_per_sample,
-                "entropy_rate": plan.entropy_rate,
-                "vec_len": plan.vec_len,
-                "first_field_bits": plan.first_field_bits,
-                "growth": plan.growth,
-                "log2_error_limit": plan.log2_error_limit,
-            },
-        )
+    for kind, cls in _PLAN_KINDS.items():
+        if isinstance(plan, cls):
+            return format_document(kind, _field_values(plan))
     raise TypeError(f"not a plan: {plan!r}")
 
 
 def plan_from_text(text: str):
-    kind, f = parse_document(text)
-    if kind == "eq-plan":
-        return _params.EqPlan(
-            bits_per_sample=int(f["bits_per_sample"]),
-            num_samples=int(f["num_samples"]),
-            entropy_rate=Fraction(f["entropy_rate"]),
-            epsilon=Fraction(f["epsilon"]),
-            vec_len=int(f["vec_len"]),
-            field_bits=int(f["field_bits"]),
-            num_blocks=int(f["num_blocks"]),
-            output_bits=int(f["output_bits"]),
-            log2_error=float(f["log2_error"]),
-        )
-    if kind == "neq-plan":
-        limit = f.get("log2_error_limit")
-        return _params.NeqPlan(
-            bits_per_sample=int(f["bits_per_sample"]),
-            entropy_rate=Fraction(f["entropy_rate"]),
-            vec_len=int(f["vec_len"]),
-            first_field_bits=int(f["first_field_bits"]),
-            growth=int(f["growth"]),
-            log2_error_limit=float(limit) if limit is not None else None,
-        )
-    raise ValueError(f"unknown plan kind {kind!r}")
+    return _plan_from_values(*parse_document(text))
 
 
 # ---------- extraction reports ----------
@@ -130,7 +128,7 @@ class ExtractionReport:
     before the next block), ``block-limit`` (``max_blocks`` was reached),
     ``width-cap`` (the next incremental block would exceed the 128-bit
     field cap) or ``interrupted`` (the consumer closed the chunk iterator
-    before the schedule ended).
+    before the schedule ended, or a read or a write failed).
     """
 
     mode: str                       # "eq" | "neq"
@@ -148,55 +146,16 @@ class ExtractionReport:
     pad_bits: int | None = None     # set when chunks were packed into bytes
 
     def to_text(self) -> str:
-        fields: dict[str, Any] = {"mode": self.mode}
-        _, plan_fields = parse_document(plan_to_text(self.plan))
-        for key, value in plan_fields.items():
-            fields[f"plan.{key}"] = value
-        fields.update(
-            {
-                "blocks_completed": self.blocks_completed,
-                "x_bits_consumed": self.x_bits_consumed,
-                "y_bits_consumed": self.y_bits_consumed,
-                "output_bits": self.output_bits,
-                "x_discarded_tail_bits": self.x_discarded_tail_bits,
-                "y_discarded_tail_bits": self.y_discarded_tail_bits,
-                "log2_error_bound": self.log2_error_bound,
-                "wall_time_s": self.wall_time_s,
-                "window_disjointness": self.window_disjointness,
-                "stop_reason": self.stop_reason,
-                "pad_bits": self.pad_bits,
-            }
-        )
-        return format_document("extraction-report", fields)
+        return format_document("extraction-report", _field_values(self))
 
     @classmethod
     def from_text(cls, text: str) -> "ExtractionReport":
-        kind, f = parse_document(text)
+        kind, values = parse_document(text)
         if kind != "extraction-report":
             raise ValueError(f"not an extraction report: kind {kind!r}")
-        mode = f["mode"]
-        plan_kind = "eq-plan" if mode == "eq" else "neq-plan"
-        plan_lines = [HEADER, f"kind = {plan_kind}"]
-        for key, value in f.items():
-            if key.startswith("plan."):
-                plan_lines.append(f"{key[len('plan.'):]} = {value}")
-        plan = plan_from_text("\n".join(plan_lines) + "\n")
-        pad = f.get("pad_bits")
-        return cls(
-            mode=mode,
-            plan=plan,
-            blocks_completed=int(f["blocks_completed"]),
-            x_bits_consumed=int(f["x_bits_consumed"]),
-            y_bits_consumed=int(f["y_bits_consumed"]),
-            output_bits=int(f["output_bits"]),
-            x_discarded_tail_bits=int(f["x_discarded_tail_bits"]),
-            y_discarded_tail_bits=int(f["y_discarded_tail_bits"]),
-            log2_error_bound=float(f["log2_error_bound"]),
-            wall_time_s=float(f["wall_time_s"]),
-            window_disjointness=f["window_disjointness"] == "true",
-            stop_reason=f.get("stop_reason", "completed"),
-            pad_bits=int(pad) if pad is not None else None,
-        )
+        report = _from_values(cls, values, plan=None)
+        report.plan = _plan_from_values(f"{report.mode}-plan", values, "plan.")
+        return report
 
 
 __all__ = [

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Sequence
 
@@ -44,13 +45,13 @@ MAX_HADAMARD_BITS = 16
 MAX_DENSE_BITS = 12       # full 2^t x 2^t inner-product tables
 DIRECT_METHOD_BITS = 8
 _ROW_CHUNK = 512
+EXHAUSTIVE_LIMIT = 10**5  # one-bit bias: enumerate supports up to this many
+SAMPLED_PAIRS = 200       # one-bit bias: seeded support pairs tested otherwise
 
 
 # ---------- vectorized schoolbook tables ----------
 
-_table_cache: dict = {}
-
-
+@cache
 def shift_tables(ctx: GFContext) -> list[np.ndarray]:
     """T[j][v] = v * x^j mod modulus, for all q-bit v and 0 <= j < q.
 
@@ -59,9 +60,6 @@ def shift_tables(ctx: GFContext) -> list[np.ndarray]:
     exactly the schoolbook carry-less product.  Cached per context; treat
     the returned arrays as read-only.
     """
-    key = ("shift", ctx.q, ctx.modulus)
-    if key in _table_cache:
-        return _table_cache[key]
     q = ctx.q
     values = np.arange(1 << q, dtype=np.uint32)
     tables = []
@@ -71,13 +69,13 @@ def shift_tables(ctx: GFContext) -> list[np.ndarray]:
         t = t << 1
         high = (t >> q) & 1
         t ^= high * np.uint32(ctx.modulus)
-    _table_cache[key] = tables
     return tables
 
 
 MAX_PRODUCT_TABLE_BITS = 11
 
 
+@cache
 def product_table(ctx: GFContext) -> np.ndarray | None:
     """Dense u*v table over all q-bit pairs, or None when q is too wide.
 
@@ -86,16 +84,12 @@ def product_table(ctx: GFContext) -> np.ndarray | None:
     """
     if ctx.q > MAX_PRODUCT_TABLE_BITS:
         return None
-    key = ("product", ctx.q, ctx.modulus)
-    if key in _table_cache:
-        return _table_cache[key]
     q = ctx.q
     tables = shift_tables(ctx)
     us = np.arange(1 << q)
     m = np.zeros((1 << q, 1 << q), dtype=np.uint16)
     for j in range(q):
         m[((us >> j) & 1).astype(bool)] ^= tables[j][None, :]
-    _table_cache[key] = m
     return m
 
 
@@ -141,21 +135,18 @@ def _feasible(ctx: GFContext, n: int, cap: int, what: str) -> int:
     return t
 
 
+@cache
 def _window_table(ctx: GFContext, base: int, width: int) -> np.ndarray:
     """W[d, u] = d * (u << base) mod modulus, for all q-bit d, width-bit u.
 
     Columns are assembled from the shift tables per set bit of u: the
     schoolbook expansion of the product over a window of multiplier bits.
     """
-    key = ("window", ctx.q, ctx.modulus, base, width)
-    if key in _table_cache:
-        return _table_cache[key]
     tables = shift_tables(ctx)
     us = np.arange(1 << width)
     w = np.zeros((1 << ctx.q, 1 << width), dtype=np.uint16)
     for j in range(width):
         w[:, ((us >> j) & 1).astype(bool)] ^= tables[base + j][:, None]
-    _table_cache[key] = w
     return w
 
 
@@ -313,21 +304,13 @@ class BiasReport:
         return self.max_bias <= self.bound + 1e-12
 
 
-def check_one_bit_bias(
-    ctx: GFContext,
-    n: int,
-    k: int,
-    *,
-    seed: int = 0,
-    sampled_pairs: int = 200,
-    exhaustive_limit: int = 10**5,
-) -> BiasReport:
+def check_one_bit_bias(ctx: GFContext, n: int, k: int, *, seed: int = 0) -> BiasReport:
     """Max bias of every f_a over flat source pairs with min-entropy k.
 
     Flat sources (uniform on a size-2^k support) are the extreme points of
     the min-entropy polytope, so they witness the worst bias.  All supports
-    are enumerated when there are at most `exhaustive_limit` of them and at
-    most that many support pairs; otherwise `sampled_pairs` seeded random
+    are enumerated when there are at most EXHAUSTIVE_LIMIT of them and at
+    most that many support pairs; otherwise SAMPLED_PAIRS seeded random
     pairs are tested and the report says so.
     """
     t = _feasible(ctx, n, MAX_DENSE_BITS, "one-bit bias check")
@@ -340,7 +323,7 @@ def check_one_bit_bias(
     w_of_z = brow[z]  # map each (x, y) cell straight to its functional group
 
     n_subsets = math.comb(size, support)
-    exhaustive = n_subsets <= exhaustive_limit and n_subsets**2 <= exhaustive_limit
+    exhaustive = n_subsets <= EXHAUSTIVE_LIMIT and n_subsets**2 <= EXHAUSTIVE_LIMIT
     if exhaustive:
         subsets = [np.fromiter(c, dtype=np.int64) for c in combinations(range(size), support)]
         pairs = [(sx, sy) for sx in subsets for sy in subsets]
@@ -351,7 +334,7 @@ def check_one_bit_bias(
                 rng.choice(size, size=support, replace=False).astype(np.int64),
                 rng.choice(size, size=support, replace=False).astype(np.int64),
             )
-            for _ in range(sampled_pairs)
+            for _ in range(SAMPLED_PAIRS)
         ]
 
     denom = float(support) * float(support)

@@ -19,6 +19,27 @@ class DribbleIO:
         return self._buf.read(min(size, self._step))
 
 
+class NotReadyIO(DribbleIO):
+    """`reads` reads of at most `step` bytes, then None on every read: a
+    non-blocking stream with no data ready."""
+
+    def __init__(self, data: bytes, step: int = 1, reads: int = 1):
+        super().__init__(data, step)
+        self._reads = reads
+
+    def read(self, size: int) -> bytes | None:
+        self._reads -= 1
+        return super().read(size) if self._reads >= 0 else None
+
+
+def test_reader_refuses_a_stream_with_no_data_ready():
+    r = BitReader(NotReadyIO(bytes(range(64)), step=4, reads=1))
+    assert r.fill(32)
+    with pytest.raises(BlockingIOError, match="no data ready"):
+        r.fill(64)
+    assert r.bits_consumed == 0 and r.tail_bits() == 32
+
+
 def test_reader_bit_order():
     r = BitReader(bytes([0b10110010]))
     assert [r.read_bits(1) for _ in range(8)] == [0, 1, 0, 0, 1, 1, 0, 1]

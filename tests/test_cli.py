@@ -2,11 +2,15 @@
 
 import json
 import os
+import sys
+from types import SimpleNamespace
 
 import pytest
 
+from blockext import cli
 from blockext.cli import main
 from blockext.report import ExtractionReport, parse_document, plan_from_text
+from tests.test_bitio import NotReadyIO
 
 
 def run_cli(*argv):
@@ -135,6 +139,32 @@ def test_extract_missing_input_is_io_error(tmp_path, capsys):
 
 EQ_FLAGS = ("extract-eq", "--b", "8", "--delta", "3/4", "--epsilon", "2^-8")
 NEQ_FLAGS = ("extract-neq", "--b", "8", "--delta", "3/4", "--q1", "8")
+
+
+@pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
+def test_extract_closes_x_when_y_cannot_be_opened(tmp_path, monkeypatch, flags):
+    x = tmp_path / "x.bin"
+    x.write_bytes(bytes(1024))
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert run_cli(*flags, "--x", str(x), "--y", str(tmp_path),
+                   "--out", str(tmp_path / "z.bin")) == 5
+    assert opened and all(fh.closed for fh in opened)
+
+
+def test_extract_from_a_stream_with_no_data_ready_is_io_error(tmp_path, monkeypatch, capsys):
+    y = tmp_path / "y.bin"
+    y.write_bytes(bytes(range(256)) * 8)
+    # A non-blocking standard input: one byte, then no data ready yet.
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=NotReadyIO(b"\x5a" * 64)))
+    assert run_cli(*EQ_FLAGS, "--N-bits", "2^14", "--x", "-", "--y", str(y),
+                   "--out", str(tmp_path / "z.bin")) == 5
+    assert "no data ready" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])

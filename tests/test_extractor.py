@@ -21,7 +21,7 @@ from blockext.params import (
     plan_neq,
 )
 from blockext.report import ExtractionReport
-from tests.test_bitio import DribbleIO
+from tests.test_bitio import DribbleIO, NotReadyIO
 
 
 def tiny_eq_plan(b, samples, rate, vec_len, field_bits):
@@ -279,6 +279,16 @@ def test_consumer_stopping_early_still_gets_a_report():
         assert run.report.x_bits_consumed == run.report.y_bits_consumed == consumed
         assert run.report.x_discarded_tail_bits == 0
         assert run.report.y_discarded_tail_bits == 0
+
+
+def test_stream_with_no_data_ready_interrupts_the_run():
+    rnd = random.Random(18)
+    plan = tiny_eq_plan(8, 400, "3/4", 5, 8)   # 80 blocks of 5 bytes
+    run = extract_eq(NotReadyIO(rnd.randbytes(400), step=100), rnd.randbytes(400), plan)
+    with pytest.raises(BlockingIOError):
+        run.run(io.BytesIO())
+    assert run.report.stop_reason == "interrupted"
+    assert run.report.x_discarded_tail_bits == run.report.y_discarded_tail_bits == 0
 
 
 def test_sink_receives_bytes_while_blocks_remain():
