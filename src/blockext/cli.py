@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -108,6 +109,16 @@ def _open_sources(x_path: str, y_path: str):
                for path in (x_path, y_path)]
 
 
+def _extract(args, extract, plan, **options) -> int:
+    """Run `extract` over the --x/--y sources into --out and emit its report."""
+    with _open_sources(args.x, args.y) as (fx, fy):
+        run = extract(fx, fy, plan, workers=args.workers, **options)
+        with open(args.out, "wb") as out:
+            report = run.run(out)
+    _emit(report.to_text(), args.report)
+    return 0
+
+
 def cmd_extract_eq(args) -> int:
     default_samples = None
     if args.N is None and args.n_bits is None:
@@ -115,35 +126,20 @@ def cmd_extract_eq(args) -> int:
             raise ValueError("--N or --N-bits is required when reading standard input")
         usable = min(os.path.getsize(args.x), os.path.getsize(args.y))
         default_samples = usable * 8 // int(args.b)
-    plan = _eq_plan_from_args(args, default_samples)
-    with _open_sources(args.x, args.y) as (fx, fy):
-        run = extract_eq(fx, fy, plan, workers=args.workers)
-        with open(args.out, "wb") as out:
-            report = run.run(out)
-    _emit(report.to_text(), args.report)
-    return 0
+    return _extract(args, extract_eq, _eq_plan_from_args(args, default_samples))
 
 
 def cmd_extract_neq(args) -> int:
     plan = plan_neq(int(args.b), as_rational(args.delta, "delta"),
                     first_field_bits=int(args.q1), growth=int(args.growth))
-    with _open_sources(args.x, args.y) as (fx, fy):
-        run = extract_neq(fx, fy, plan, workers=args.workers,
-                          max_blocks=args.max_blocks)
-        with open(args.out, "wb") as out:
-            report = run.run(out)
-    _emit(report.to_text(), args.report)
-    return 0
+    return _extract(args, extract_neq, plan, max_blocks=args.max_blocks)
 
 
 def cmd_simulate(args) -> int:
     with open(args.config) as fh:
         model = sources_mod.parse_model(json.load(fh))
     if args.seed is not None:
-        model = sources_mod.SourceModel(
-            kind=model.kind, bits_per_sample=model.bits_per_sample,
-            seed=args.seed, p=model.p, table=model.table, path=model.path,
-        )
+        model = dataclasses.replace(model, seed=args.seed)
     count = parse_count(args.count)
     data = sources_mod.generate(model, count)
     with open(args.out, "wb") as fh:
@@ -167,41 +163,33 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_hadamard(max_bits: int, lines: list[str]) -> int:
-    failures = 0
-    for q, n in verify_mod.hadamard_instances(max_bits):
-        ok = verify_mod.check_hadamard(field(q), n)
-        failures += not ok
-        lines.append(f"hadamard q={q} n={n}: {'PASS' if ok else 'FAIL'}")
-    return failures
+# Each verify suite yields (text, ok) per check; cmd_verify appends PASS/FAIL.
+
+def _hadamard_checks(args):
+    for q, n in verify_mod.hadamard_instances(args.max_bits):
+        yield f"hadamard q={q} n={n}:", verify_mod.check_hadamard(field(q), n)
 
 
-def _verify_bias(max_bits: int, seed: int, lines: list[str]) -> int:
-    failures = 0
-    cap = min(max_bits, verify_mod.MAX_DENSE_BITS)
+def _bias_checks(args):
+    cap = min(args.max_bits, verify_mod.MAX_DENSE_BITS)
     for q, n in verify_mod.hadamard_instances(cap):
         t = q * n
         for k in sorted({t, t - 1, max(1, (3 * t) // 4)}):
-            rep = verify_mod.check_one_bit_bias(field(q), n, k, seed=seed)
-            failures += not rep.holds
-            lines.append(
-                f"bias q={q} n={n} k={k}: max {rep.max_bias:.6g} "
-                f"bound {rep.bound:.6g} pairs {rep.pairs_tested}"
-                f"{' exhaustive' if rep.exhaustive else ''} "
-                f"{'PASS' if rep.holds else 'FAIL'}"
-            )
-    return failures
+            rep = verify_mod.check_one_bit_bias(field(q), n, k, seed=args.seed)
+            yield (f"bias q={q} n={n} k={k}: max {rep.max_bias:.6g} "
+                   f"bound {rep.bound:.6g} pairs {rep.pairs_tested}"
+                   f"{' exhaustive' if rep.exhaustive else ''}"), rep.holds
 
 
-def _verify_distance(max_bits: int, seed: int, lines: list[str]) -> int:
-    failures = 0
-    rng = np.random.default_rng(seed)
-    cap = min(max_bits, verify_mod.MAX_DENSE_BITS)
+def _distance_checks(args):
+    rng = np.random.default_rng(args.seed)
+    cap = min(args.max_bits, verify_mod.MAX_DENSE_BITS)
     for q, n in verify_mod.hadamard_instances(cap):
         t = q * n
         size = 1 << t
         uniform = np.full(size, 1.0 / size)
         instances = [("uniform", uniform, uniform)]
+        # Set order, not sorted: the order fixes the RNG draws, and so the report.
         for k in {t - 1, max(1, (3 * t) // 4)}:
             px = _flat(rng, size, 1 << k)
             py = _flat(rng, size, 1 << k)
@@ -210,12 +198,8 @@ def _verify_distance(max_bits: int, seed: int, lines: list[str]) -> int:
             rep = verify_mod.check_extractor_distance(
                 field(q), n, px, py, description=f"q={q} n={n} {name}"
             )
-            failures += not rep.holds
-            lines.append(
-                f"distance {rep.description}: d={rep.distance:.6g} "
-                f"bound {rep.bound:.6g} {'PASS' if rep.holds else 'FAIL'}"
-            )
-    return failures
+            yield (f"distance {rep.description}: d={rep.distance:.6g} "
+                   f"bound {rep.bound:.6g}"), rep.holds
 
 
 def _flat(rng, size: int, support: int) -> np.ndarray:
@@ -224,50 +208,41 @@ def _flat(rng, size: int, support: int) -> np.ndarray:
     return p
 
 
-def _verify_xor(seed: int, lines: list[str]) -> int:
-    failures = 0
-    rng = np.random.default_rng(seed)
-    instances = []
+def _xor_checks(args):
+    rng = np.random.default_rng(args.seed)
     constant = np.zeros((2, 1))
     constant[0, 0] = 1.0
-    instances.append(("constant q=1", 1, constant))
+    instances = [("constant q=1", 1, constant)]
     for q in (1, 2, 3, 4):
         u = np.full((1 << q, 1), 1.0 / (1 << q))
         instances.append((f"uniform q={q}", q, u))
         j = rng.random((1 << q, 4))
         instances.append((f"random q={q}", q, j / j.sum()))
     for name, q, joint in instances:
-        ok = verify_mod.check_xor_lemma_instance(q, joint)
-        failures += not ok
-        lines.append(f"xor-lemma {name}: {'PASS' if ok else 'FAIL'}")
-    return failures
+        yield f"xor-lemma {name}:", verify_mod.check_xor_lemma_instance(q, joint)
 
 
-def _verify_bijection(lines: list[str]) -> int:
-    failures = 0
+def _bijection_checks(args):
     for q in range(1, 9):
-        ok = verify_mod.check_first_bit_bijection(field(q))
-        failures += not ok
-        lines.append(f"bijection q={q}: {'PASS' if ok else 'FAIL'}")
-    return failures
+        yield f"bijection q={q}:", verify_mod.check_first_bit_bijection(field(q))
+
+
+VERIFY_SUITES = {
+    "hadamard": _hadamard_checks,
+    "bias": _bias_checks,
+    "distance": _distance_checks,
+    "xor": _xor_checks,
+    "bijection": _bijection_checks,
+}
 
 
 def cmd_verify(args) -> int:
     lines: list[str] = []
     failures = 0
-    suites = ("hadamard", "bias", "distance", "xor", "bijection") \
-        if args.suite == "all" else (args.suite,)
-    for suite in suites:
-        if suite == "hadamard":
-            failures += _verify_hadamard(args.max_bits, lines)
-        elif suite == "bias":
-            failures += _verify_bias(args.max_bits, args.seed, lines)
-        elif suite == "distance":
-            failures += _verify_distance(args.max_bits, args.seed, lines)
-        elif suite == "xor":
-            failures += _verify_xor(args.seed, lines)
-        elif suite == "bijection":
-            failures += _verify_bijection(lines)
+    for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
+        for text, ok in VERIFY_SUITES[suite](args):
+            failures += not ok
+            lines.append(f"{text} {'PASS' if ok else 'FAIL'}")
     lines.append(f"checks = {len(lines)}")
     lines.append(f"failures = {failures}")
     _emit("\n".join(lines) + "\n", args.report)
@@ -367,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run brute-force verification suites")
     p.add_argument("--suite", default="all",
-                   choices=["hadamard", "bias", "distance", "xor", "bijection", "all"])
+                   choices=[*VERIFY_SUITES, "all"])
     p.add_argument("--max-bits", type=int, default=12,
                    help="cap on q*n for enumerated instances")
     p.add_argument("--seed", type=int, default=0)

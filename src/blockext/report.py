@@ -76,12 +76,15 @@ def _field_values(obj, prefix: str = "") -> dict[str, Any]:
     return values
 
 
-def _decode(tp: Any, text: str) -> Any:
+def _decode(key: str, tp: Any, text: str) -> Any:
     # `X | None` decodes as X: an absent key, not a value, stands for None.
     tp = next((a for a in get_args(tp) if a is not type(None)), tp)
     if tp is bool and text not in ("true", "false"):
-        raise ValueError(f"not a boolean: {text!r}")
-    return text == "true" if tp is bool else tp(text)
+        raise ValueError(f"{key}: not a boolean: {text!r}")
+    try:
+        return text == "true" if tp is bool else tp(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{key}: cannot parse {text!r}: {exc}") from None
 
 
 def _from_values(cls, values: dict[str, str], prefix: str = "", **given):
@@ -92,7 +95,7 @@ def _from_values(cls, values: dict[str, str], prefix: str = "", **given):
         if f.name in given:
             continue
         if key in values:
-            given[f.name] = _decode(hints[f.name], values[key])
+            given[f.name] = _decode(key, hints[f.name], values[key])
         elif f.default is MISSING:
             if type(None) not in get_args(hints[f.name]):
                 raise ValueError(f"{cls.__name__} document lacks the required key {key!r}")

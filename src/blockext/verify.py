@@ -25,6 +25,11 @@ to those histograms; the reduction uses only the XOR-linearity of the inner
 product and of the first-bit functionals, identities that the test suite
 property-checks independently.  Within a method every reported quantity is
 computed by literal enumeration.
+
+Every inner-product table is assembled from window tables: for each digit
+of the multiplier and each window of at most 8 of its bits, the products of
+every field element with every window value, built from per-bit shift
+tables by schoolbook expansion.  No table shares code with the extractor.
 """
 
 from __future__ import annotations
@@ -70,27 +75,6 @@ def shift_tables(ctx: GFContext) -> list[np.ndarray]:
         high = (t >> q) & 1
         t ^= high * np.uint32(ctx.modulus)
     return tables
-
-
-MAX_PRODUCT_TABLE_BITS = 11
-
-
-@cache
-def product_table(ctx: GFContext) -> np.ndarray | None:
-    """Dense u*v table over all q-bit pairs, or None when q is too wide.
-
-    Assembled from the shift tables by XORing T[j] into the rows whose u has
-    bit j set, which is the schoolbook product expansion in bulk.
-    """
-    if ctx.q > MAX_PRODUCT_TABLE_BITS:
-        return None
-    q = ctx.q
-    tables = shift_tables(ctx)
-    us = np.arange(1 << q)
-    m = np.zeros((1 << q, 1 << q), dtype=np.uint16)
-    for j in range(q):
-        m[((us >> j) & 1).astype(bool)] ^= tables[j][None, :]
-    return m
 
 
 def first_bit_rows(ctx: GFContext) -> np.ndarray:
@@ -153,39 +137,24 @@ def _window_table(ctx: GFContext, base: int, width: int) -> np.ndarray:
 def _ip_rows(ctx: GFContext, n: int, d_values: np.ndarray) -> np.ndarray:
     """Rows of inner-product values: out[r, y] = <d_values[r], y> over all y.
 
-    Vectorized schoolbook.  The y index is positional in its digits, so each
-    digit (or digit window, for n = 1) contributes a small per-row table
-    placed on its own axis; one broadcast XOR chain materializes all rows.
+    Vectorized schoolbook.  The y index is positional: each digit of y,
+    split into windows of at most 8 bits, contributes a per-row window table
+    placed on its own axis, and one broadcast XOR chain materializes all rows.
     """
     q = ctx.q
-    t = q * n
-    mask = (1 << q) - 1
+    window = min(q, 8)
     d_values = np.asarray(d_values, dtype=np.int64)
     rows = len(d_values)
-    if n == 1:
-        window = 8 if q > 8 else q
-        bases = list(range(0, q, window))
-        parts = []
-        for pos, base in enumerate(bases):
-            width = min(window, q - base)
-            table = _window_table(ctx, base, width)[d_values]  # (rows, 2^width)
-            shape = [rows] + [1] * len(bases)
-            shape[len(bases) - pos] = 1 << width
-            parts.append(table.reshape(shape))
-    else:
-        dense = product_table(ctx)
-        if dense is None:
-            raise InfeasibleError(f"q={q} with n={n} exceeds the dense-table width")
-        parts = []
-        for i in range(n):
-            di = (d_values >> (i * q)) & mask
-            shape = [rows] + [1] * n
-            shape[n - i] = 1 << q
-            parts.append(dense[di].reshape(shape))
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = acc ^ part
-    return np.ascontiguousarray(acc).reshape(rows, 1 << t)
+    axes = [(i, base) for i in range(n) for base in range(0, q, window)]
+    acc = None
+    for pos, (i, base) in enumerate(axes):
+        width = min(window, q - base)
+        di = (d_values >> (i * q)) & ctx.mask
+        shape = [rows] + [1] * len(axes)
+        shape[len(axes) - pos] = 1 << width
+        part = _window_table(ctx, base, width)[di].reshape(shape)
+        acc = part if acc is None else acc ^ part
+    return np.ascontiguousarray(acc).reshape(rows, 1 << (q * n))
 
 
 def ip_value_table(ctx: GFContext, n: int) -> np.ndarray:
@@ -214,10 +183,7 @@ def check_hadamard(ctx: GFContext, n: int, method: str = "auto") -> bool:
 
 def _hadamard_direct(ctx: GFContext, n: int) -> bool:
     """Literal check: Gram matrix of every f_a's +/-1 row matrix."""
-    t = ctx.q * n
-    if t > MAX_DENSE_BITS:
-        raise InfeasibleError(f"direct method needs q*n <= {MAX_DENSE_BITS}")
-    size = 1 << t
+    size = 1 << (ctx.q * n)
     z = ip_value_table(ctx, n)
     brow = first_bit_rows(ctx)
     parity = _parity_table(ctx.q)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The hadamard sweep enumerates every feasible instance and takes a
-few minutes; it carries the `slow` marker but runs in the default suite.
+lines.  The hadamard sweep enumerates every feasible instance and the
+one-bit bias sweep every q*n <= 12 instance; each takes a minute or more.
+Both carry the `slow` marker but run in the default suite.
 
 One criterion is knowingly red: the uniform-source clause of the distance
 oracle demands a numerically-zero distance, but the exact distance of the
@@ -167,6 +168,7 @@ def test_distance_oracle_uniform_sources_numerically_zero():
     _report("distance oracle uniform clause")
 
 
+@pytest.mark.slow
 def test_one_bit_bias_bound():
     violations = []
     checked = 0

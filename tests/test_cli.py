@@ -244,6 +244,87 @@ def test_verify_distance_and_bias_small(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+VERIFY_ALL_4 = """\
+hadamard q=1 n=1: PASS
+hadamard q=1 n=2: PASS
+hadamard q=1 n=3: PASS
+hadamard q=1 n=4: PASS
+hadamard q=2 n=1: PASS
+hadamard q=2 n=2: PASS
+hadamard q=3 n=1: PASS
+hadamard q=4 n=1: PASS
+bias q=1 n=1 k=0: max 1 bound 2.82843 pairs 4 exhaustive PASS
+bias q=1 n=1 k=1: max 0.5 bound 1.41421 pairs 1 exhaustive PASS
+bias q=1 n=2 k=1: max 1 bound 2 pairs 36 exhaustive PASS
+bias q=1 n=2 k=2: max 0.25 bound 1 pairs 1 exhaustive PASS
+bias q=1 n=3 k=2: max 0.625 bound 1.41421 pairs 4900 exhaustive PASS
+bias q=1 n=3 k=3: max 0.125 bound 0.707107 pairs 1 exhaustive PASS
+bias q=1 n=4 k=3: max 0.34375 bound 1 pairs 200 PASS
+bias q=1 n=4 k=4: max 0.0625 bound 0.5 pairs 1 exhaustive PASS
+bias q=2 n=1 k=1: max 1 bound 2 pairs 36 exhaustive PASS
+bias q=2 n=1 k=2: max 0.25 bound 1 pairs 1 exhaustive PASS
+bias q=2 n=2 k=3: max 0.34375 bound 1 pairs 200 PASS
+bias q=2 n=2 k=4: max 0.0625 bound 0.5 pairs 1 exhaustive PASS
+bias q=3 n=1 k=2: max 0.625 bound 1.41421 pairs 4900 exhaustive PASS
+bias q=3 n=1 k=3: max 0.125 bound 0.707107 pairs 1 exhaustive PASS
+bias q=4 n=1 k=3: max 0.34375 bound 1 pairs 200 PASS
+bias q=4 n=1 k=4: max 0.0625 bound 0.5 pairs 1 exhaustive PASS
+distance q=1 n=1 uniform: d=0.25 bound 1 PASS
+distance q=1 n=1 flat k=0: d=0.5 bound 1 PASS
+distance q=1 n=1 flat k=1: d=0.25 bound 1 PASS
+distance q=1 n=2 uniform: d=0.125 bound 1 PASS
+distance q=1 n=2 flat k=1: d=0.25 bound 1 PASS
+distance q=1 n=3 uniform: d=0.0625 bound 1 PASS
+distance q=1 n=3 flat k=2: d=0.0625 bound 1 PASS
+distance q=1 n=4 uniform: d=0.03125 bound 1 PASS
+distance q=1 n=4 flat k=3: d=0.109375 bound 1 PASS
+distance q=2 n=1 uniform: d=0.1875 bound 1 PASS
+distance q=2 n=1 flat k=1: d=0.25 bound 1 PASS
+distance q=2 n=2 uniform: d=0.046875 bound 1 PASS
+distance q=2 n=2 flat k=3: d=0.09375 bound 1 PASS
+distance q=3 n=1 uniform: d=0.109375 bound 1 PASS
+distance q=3 n=1 flat k=2: d=0.1875 bound 1 PASS
+distance q=4 n=1 uniform: d=0.0585938 bound 1 PASS
+distance q=4 n=1 flat k=3: d=0.109375 bound 1 PASS
+xor-lemma constant q=1: PASS
+xor-lemma uniform q=1: PASS
+xor-lemma random q=1: PASS
+xor-lemma uniform q=2: PASS
+xor-lemma random q=2: PASS
+xor-lemma uniform q=3: PASS
+xor-lemma random q=3: PASS
+xor-lemma uniform q=4: PASS
+xor-lemma random q=4: PASS
+bijection q=1: PASS
+bijection q=2: PASS
+bijection q=3: PASS
+bijection q=4: PASS
+bijection q=5: PASS
+bijection q=6: PASS
+bijection q=7: PASS
+bijection q=8: PASS
+checks = 58
+failures = 0
+"""
+
+
+def test_verify_all_report_is_pinned(capsys):
+    assert run_cli("verify", "--suite", "all", "--max-bits", "4") == 0
+    assert capsys.readouterr().out == VERIFY_ALL_4
+
+
+def test_verify_failure_is_reported_and_exits_6(monkeypatch, tmp_path, capsys):
+    real = cli.verify_mod.check_first_bit_bijection
+    monkeypatch.setattr(cli.verify_mod, "check_first_bit_bijection",
+                        lambda ctx: ctx.q != 3 and real(ctx))
+    report = tmp_path / "verify.txt"
+    assert run_cli("verify", "--suite", "bijection", "--report", str(report)) == 6
+    text = report.read_text()
+    assert "bijection q=3: FAIL\n" in text
+    assert "bijection q=4: PASS\n" in text
+    assert text.endswith("checks = 8\nfailures = 1\n")
+
+
 def test_bench_cost_and_zero_lane_exit(capsys):
     assert run_cli("bench", "cost") == 0
     _, fields = parse_document(capsys.readouterr().out)

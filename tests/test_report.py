@@ -127,3 +127,16 @@ def test_boolean_other_than_true_or_false_is_a_value_error():
     text = REPORT_TEXT.replace("window_disjointness = true", "window_disjointness = yes")
     with pytest.raises(ValueError, match="yes"):
         ExtractionReport.from_text(text)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("bits_per_sample", "x"),
+    ("entropy_rate", "1/0"),
+])
+def test_value_that_does_not_parse_names_its_key(key, bad):
+    line = next(ln for ln in EQ_PLAN_TEXT.splitlines() if ln.startswith(key + " ="))
+    text = EQ_PLAN_TEXT.replace(line, f"{key} = {bad}")
+    with pytest.raises(ValueError, match=key):
+        plan_from_text(text)
+    with pytest.raises(ValueError, match=f"plan.{key}"):
+        ExtractionReport.from_text(REPORT_TEXT.replace("plan." + line, f"plan.{key} = {bad}"))

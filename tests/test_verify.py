@@ -124,7 +124,7 @@ def test_first_bit_rows_give_product_first_bit():
 
 def test_ip_value_table_matches_ext_ip():
     rnd = random.Random(24)
-    for q, n in ((1, 3), (2, 2), (3, 2), (4, 1), (12, 1), (2, 6)):
+    for q, n in ((1, 3), (2, 2), (3, 2), (4, 1), (12, 1), (2, 6), (8, 1), (6, 2), (4, 3)):
         ctx = field(q)
         table = ip_value_table(ctx, n)
         for _ in range(300):
