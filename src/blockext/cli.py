@@ -69,10 +69,8 @@ def _eq_plan_from_args(args, default_samples: int | None = None):
         if bits % b:
             raise ValueError(f"--N-bits {bits} is not a multiple of --b {b}")
         samples = bits // b
-    elif default_samples is not None:
-        samples = default_samples
     else:
-        raise ValueError("need --N or --N-bits")
+        samples = default_samples
     return plan_eq(b, samples, as_rational(args.delta, "delta"),
                    parse_probability(args.epsilon))
 
@@ -110,12 +108,19 @@ def _open_sources(x_path: str, y_path: str):
 
 
 def _extract(args, extract, plan, **options) -> int:
-    """Run `extract` over the --x/--y sources into --out and emit its report."""
+    """Run `extract` over the --x/--y sources into --out and emit its report.
+
+    A run that fails after it started still emits the report it made
+    (stop_reason = interrupted) before the error propagates.
+    """
     with _open_sources(args.x, args.y) as (fx, fy):
         run = extract(fx, fy, plan, workers=args.workers, **options)
-        with open(args.out, "wb") as out:
-            report = run.run(out)
-    _emit(report.to_text(), args.report)
+        try:
+            with open(args.out, "wb") as out:
+                run.run(out)
+        finally:
+            if run.report is not None:
+                _emit(run.report.to_text(), args.report)
     return 0
 
 

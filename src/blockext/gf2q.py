@@ -5,15 +5,14 @@ so 0 is the additive identity and 1 the multiplicative identity.  Addition
 is bit-wise XOR; multiplication is carry-less (shift/XOR schoolbook)
 polynomial multiplication reduced modulo an irreducible degree-q modulus.
 
-A :class:`GFContext` fixes q, takes its modulus from the shipped low-weight
-table in :mod:`blockext._moduli` and precomputes the reduction table used by
-:meth:`GFContext.mul`.  That table is the only source of moduli: custom
-moduli are not accepted, and contexts do not re-prove irreducibility, because
-the test suite proves every entry irreducible and ``scripts/gen_moduli.py``
-regenerates the table (the first irreducible polynomial of each degree in a
-fixed scan order).  Any irreducible modulus yields an isomorphic field; one
-fixed table keeps outputs reproducible.  Contexts are immutable after
-construction and safe to share across threads.
+A :class:`GFContext` fixes q and takes its modulus from the shipped
+low-weight table in :mod:`blockext._moduli`.  That table is the only source
+of moduli: custom moduli are not accepted, and contexts do not re-prove
+irreducibility, because the test suite proves every entry irreducible and
+``scripts/gen_moduli.py`` regenerates the table (the first irreducible
+polynomial of each degree in a fixed scan order).  Any irreducible modulus
+yields an isomorphic field; one fixed table keeps outputs reproducible.
+Contexts are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -58,20 +57,6 @@ def poly_mul(a: int, b: int) -> int:
     return r
 
 
-def poly_mulmod(a: int, b: int, m: int) -> int:
-    """Product of a and b reduced modulo m, without forming the full product."""
-    dm = poly_degree(m)
-    r = 0
-    while a:
-        if a & 1:
-            r ^= b
-        a >>= 1
-        b <<= 1
-        if poly_degree(b) >= dm:
-            b ^= m << (poly_degree(b) - dm)
-    return r
-
-
 def poly_gcd(a: int, b: int) -> int:
     """Greatest common divisor of polynomials a and b."""
     while b:
@@ -92,7 +77,7 @@ def is_irreducible(poly: int) -> bool:
     x = poly_mod(2, poly)
     t = x
     for i in range(1, d + 1):
-        t = poly_mulmod(t, t, poly)
+        t = poly_mod(poly_mul(t, t), poly)
         if i <= d // 2 and poly_gcd(t ^ x, poly) != 1:
             return False
     return t == x
@@ -109,25 +94,14 @@ class GFContext:
         mask: (1 << q) - 1, the range mask for elements.
     """
 
-    __slots__ = ("q", "modulus", "mask", "_fold")
+    __slots__ = ("q", "modulus", "mask")
 
     def __init__(self, q: int):
         if not 1 <= q <= MAX_FIELD_BITS:
             raise CapacityError(f"field degree {q} outside supported range 1..{MAX_FIELD_BITS}")
-        modulus = modulus_int(q)
         self.q = q
-        self.modulus = modulus
+        self.modulus = modulus_int(q)
         self.mask = (1 << q) - 1
-        # fold[i] = x^(q+i) mod modulus, for single-pass reduction of products
-        # of degree <= 2q-2.
-        fold = []
-        t = modulus ^ (1 << q)  # x^q mod modulus
-        for _ in range(q):
-            fold.append(t)
-            t <<= 1
-            if t >> q:
-                t ^= modulus
-        self._fold = tuple(fold)
 
     def __repr__(self) -> str:
         return f"GFContext({self.q})"
@@ -154,16 +128,7 @@ class GFContext:
         """Field multiplication: carry-less product reduced by the modulus."""
         self.check(x)
         self.check(y)
-        p = poly_mul(x, y)
-        high = p >> self.q
-        p &= self.mask
-        fold = self._fold
-        while high:
-            low = high & -high
-            i = low.bit_length() - 1
-            p ^= fold[i]
-            high ^= low
-        return p
+        return poly_mod(poly_mul(x, y), self.modulus)
 
     def pow(self, x: int, e: int) -> int:
         """x raised to a nonnegative integer power."""
@@ -203,5 +168,4 @@ __all__ = [
     "poly_gcd",
     "poly_mod",
     "poly_mul",
-    "poly_mulmod",
 ]

@@ -53,13 +53,16 @@ def as_rational(value, name: str = "value") -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return as_rational(num.strip(), name) / as_rational(den.strip(), name)
-        if "^" in text:
-            base, exp = text.split("^", 1)
-            return Fraction(int(base)) ** int(exp)
-        return Fraction(text)
+        try:
+            if "/" in text:
+                num, den = text.split("/", 1)
+                return as_rational(num.strip(), name) / as_rational(den.strip(), name)
+            if "^" in text:
+                base, exp = text.split("^", 1)
+                return Fraction(int(base)) ** int(exp)
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"{name}: division by zero in {value!r}") from None
     if isinstance(value, float):
         raise TypeError(
             f"{name} must be an exact rational (Fraction, int, or string); "
@@ -69,16 +72,12 @@ def as_rational(value, name: str = "value") -> Fraction:
 
 
 def parse_count(text: str) -> int:
-    """Parse a positive count, allowing power notation like '2^47'."""
-    text = text.strip()
-    if "^" in text:
-        base, exp = text.split("^", 1)
-        value = int(base) ** int(exp)
-    else:
-        value = int(text)
-    if value <= 0:
-        raise ValueError(f"count must be positive, got {text!r}")
-    return value
+    """Parse a positive integer count in the grammar of :func:`as_rational`,
+    e.g. '2^47' or '1000'."""
+    value = as_rational(text, "count")
+    if value.denominator != 1 or value <= 0:
+        raise ValueError(f"count must be a positive integer, got {text!r}")
+    return int(value)
 
 
 def parse_probability(text: str) -> Fraction:

@@ -175,17 +175,15 @@ def certify_forward_block(model: SourceModel) -> MinEntropyCertificate:
     are physical assumptions, not checkable from the bytes.
     """
     b = model.bits_per_sample
-    if model.kind == "iid-biased":
-        pmax = max(model.p, 1.0 - model.p)
-        return MinEntropyCertificate(_rate_from_pmax(pmax, b), "analytic", pmax)
-    if model.kind == "iid-table":
-        pmax = float(model.table.max())
-        return MinEntropyCertificate(_rate_from_pmax(pmax, b), "analytic", pmax)
-    if model.kind == "markov":
-        # Any window conditioned on a prefix is a path of transitions; each
-        # step's mass is at most the global max entry, and the uniform start
-        # distribution (2^-b <= any row max) never binds.
-        pmax = float(model.table.max())
+    if model.kind in _ANALYTIC_KINDS:
+        if model.kind == "iid-biased":
+            pmax = max(model.p, 1.0 - model.p)
+        else:
+            # For markov, any window conditioned on a prefix is a path of
+            # transitions; each step's mass is at most the global max entry,
+            # and the uniform start distribution (2^-b <= any row max) never
+            # binds.
+            pmax = float(model.table.max())
         return MinEntropyCertificate(_rate_from_pmax(pmax, b), "analytic", pmax)
     if model.kind == "joint":
         return _certify_joint(model)

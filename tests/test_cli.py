@@ -43,6 +43,10 @@ def test_params_exit_codes(capsys):
                    "--N", "2^500", "--epsilon", "2^-300") == 3
     assert run_cli("params", "--b", "16", "--delta", "3/4",
                    "--N", "2^40", "--epsilon", "2") == 2
+    assert run_cli("params", "--b", "16", "--delta", "1/0",
+                   "--N", "2^40", "--epsilon", "2^-30") == 2
+    assert run_cli("params", "--b", "16", "--delta", "3/4",
+                   "--N", "2^-1", "--epsilon", "2^-30") == 2
 
 
 def test_unknown_suite_is_usage_error(capsys):
@@ -162,9 +166,24 @@ def test_extract_from_a_stream_with_no_data_ready_is_io_error(tmp_path, monkeypa
     y.write_bytes(bytes(range(256)) * 8)
     # A non-blocking standard input: one byte, then no data ready yet.
     monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=NotReadyIO(b"\x5a" * 64)))
+    report = tmp_path / "r.txt"
     assert run_cli(*EQ_FLAGS, "--N-bits", "2^14", "--x", "-", "--y", str(y),
-                   "--out", str(tmp_path / "z.bin")) == 5
+                   "--out", str(tmp_path / "z.bin"), "--report", str(report)) == 5
     assert "no data ready" in capsys.readouterr().err
+    # The run had started, so the report it made is still written.
+    rep = ExtractionReport.from_text(report.read_text())
+    assert rep.stop_reason == "interrupted" and rep.pad_bits is None
+
+
+def test_extract_eq_stdin_refusals(tmp_path, capsys):
+    y = tmp_path / "y.bin"
+    y.write_bytes(bytes(64))
+    out = tmp_path / "z.bin"
+    assert run_cli(*EQ_FLAGS, "--N", "64", "--x", "-", "--y", "-", "--out", str(out)) == 2
+    assert "at most one may be standard input" in capsys.readouterr().err
+    assert run_cli(*EQ_FLAGS, "--x", "-", "--y", str(y), "--out", str(out)) == 2
+    assert "--N or --N-bits is required" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])

@@ -192,8 +192,9 @@ def test_parse_helpers():
     assert as_rational("10.74/16") == FLAGSHIP_RATE
     assert as_rational("537/800") == FLAGSHIP_RATE
     assert as_rational("0.67125") == FLAGSHIP_RATE
-    with pytest.raises(ValueError):
-        parse_count("0")
+    for bad in ("2^-1", "1.5", "0", "-3", "1/0", "x"):
+        with pytest.raises(ValueError):
+            parse_count(bad)
     with pytest.raises(ValueError):
         plan_eq(16, 2**30, "3/4", 1)
 

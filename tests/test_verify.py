@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from blockext import verify as verify_mod
 from blockext.errors import InfeasibleError
 from blockext.extractor import ext_ip
 from blockext.gf2q import field
@@ -175,6 +176,37 @@ def test_counts_fallback_rejects_nonuniform_histograms():
     grouped = np.bincount(brow, weights=counts.astype(np.float64), minlength=4)
     sums = walsh_transform(np.rint(grouped).astype(np.int64))
     assert np.any(sums[1:])
+
+
+def test_oracles_reject_corrupted_tables(monkeypatch):
+    # Each oracle must fail, not pass vacuously, when its tables are wrong:
+    # one flipped product bit for both Hadamard methods (the counts method
+    # through its non-uniform fallback), one duplicated first-bit row for
+    # the bijection check.
+    ctx = field(3)
+    for method in ("counts", "direct"):
+        assert check_hadamard(ctx, 2, method=method)
+    assert check_first_bit_bijection(ctx)
+
+    real_ip_rows = verify_mod._ip_rows
+
+    def flipped_ip_rows(*args):
+        z = real_ip_rows(*args).copy()
+        z[0, 1] ^= 1
+        return z
+
+    def duplicated_first_bit_rows(ctx):
+        brow = first_bit_rows(ctx)
+        brow[1] = brow[2]
+        return brow
+
+    with monkeypatch.context() as m:
+        m.setattr(verify_mod, "_ip_rows", flipped_ip_rows)
+        for method in ("counts", "direct"):
+            assert not check_hadamard(ctx, 2, method=method)
+    with monkeypatch.context() as m:
+        m.setattr(verify_mod, "first_bit_rows", duplicated_first_bit_rows)
+        assert not check_first_bit_bijection(ctx)
 
 
 # ---------- one-bit bias ----------
