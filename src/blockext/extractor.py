@@ -18,8 +18,12 @@ lanes side by side (the lane model is :func:`blockext.bench.projected_speed`).
 In software, :class:`Extraction` computes each run of equal-width blocks in
 batches with numpy: the inner product's unreduced carry-less product is a
 GF(2) bit-matrix product, and each block is reduced once, at the end (see
-:func:`_inner_products`).  :func:`ext_ip` stays as the independent scalar
-reference; the two share only the shipped modulus table.
+:func:`_inner_products`).  A run computes every batch in one workspace of
+arrays (:class:`_Workspace`) that it keeps until the block width changes,
+so its memory is bounded by _BATCH_BUDGET and not by the input length, and
+a long run allocates nothing large after its first batch.  :func:`ext_ip`
+stays as the independent scalar reference; the two share only the shipped
+modulus table.
 """
 
 from __future__ import annotations
@@ -96,8 +100,36 @@ def _reduction_matrix(q: int) -> np.ndarray:
     return matrix
 
 
-def _inner_products(x: BitReader, y: BitReader, blocks: int, q: int, n: int) -> np.ndarray:
-    """Output bits (blocks, q) of the next `blocks` blocks of width q.
+class _Workspace:
+    """The arrays a batch of up to `blocks` blocks of width q computes in.
+
+    An :class:`Extraction` keeps one and fills it in place batch after
+    batch (a shorter batch uses the leading blocks), so the steady state
+    allocates nothing large: arrays of this size allocated per batch are
+    mapped from the OS and faulted in again every time.  As
+    blocks * q * max(q, n) <= _BATCH_BUDGET unless blocks == 1, it holds
+    at most 15 * _BATCH_BUDGET bytes, or 8 * _BATCH_BUDGET + 7 * q * q for
+    one block.
+    """
+
+    def __init__(self, blocks: int, q: int, n: int):
+        self.blocks = blocks
+        self.q = q
+        # Elements per product, and decoded at once (below n only if blocks == 1).
+        self.step = max(1, min(255, _GEMM_CELLS // (q * q)))
+        self.span = min(n, _BATCH_BUDGET // q)
+        rows = min(self.step, self.span)
+        self.xf = np.empty((blocks, rows, q), np.float32)
+        self.yf = np.empty((blocks, rows, q), np.float32)
+        self.counts = np.empty((blocks, q, q), np.float32)
+        self.parity = np.empty((blocks, q, q), np.uint8)
+        # Rows of 2q whose right half stays zero (see _inner_products).
+        self.padded = np.zeros((blocks, q, 2 * q), np.uint8)
+
+
+def _inner_products(ws: _Workspace, x: BitReader, y: BitReader, blocks: int,
+                    n: int) -> np.ndarray:
+    """Output bits (blocks, q) of the next `blocks` blocks of width ws.q.
 
     The blocks' windows must be buffered in both readers; nothing is
     consumed.  For one block with element bit matrices X and Y (n x q),
@@ -105,24 +137,29 @@ def _inner_products(x: BitReader, y: BitReader, blocks: int, q: int, n: int) -> 
     whose x-bit i and y-bit j are both set, so the parities of the sums of
     C's anti-diagonals i + j = k are the 2q-1 coefficients of the unreduced
     sum of carry-less products.  One multiply by the reduction matrix then
-    reduces that sum modulo the field's modulus.
+    reduces that sum modulo the field's modulus.  The result is a new
+    array; the workspace is scratch for the next batch.
     """
-    step = max(1, min(255, _GEMM_CELLS // (q * q)))
-    span = min(n, _BATCH_BUDGET // q)  # elements decoded at once; below n only if blocks == 1
-    parity = np.zeros((blocks, q, q), np.uint8)
-    for lo in range(0, n, span):
-        hi = min(n, lo + span)
+    q, step = ws.q, ws.step
+    counts = ws.counts[:blocks]
+    parity = ws.parity[:blocks]
+    parity.fill(0)
+    for lo in range(0, n, ws.span):
+        hi = min(n, lo + ws.span)
         # One block, or whole windows: either way the bits are contiguous.
         xs = x.peek(lo * q, blocks * (hi - lo) * q).reshape(blocks, hi - lo, q)
         ys = y.peek(lo * q, blocks * (hi - lo) * q).reshape(blocks, hi - lo, q)
         for k in range(0, hi - lo, step):
-            xf = xs[:, k:k + step].astype(np.float32)
-            yf = ys[:, k:k + step].astype(np.float32)
-            parity ^= np.matmul(xf.transpose(0, 2, 1), yf).astype(np.uint8)
+            m = min(step, hi - lo - k)
+            xf, yf = ws.xf[:blocks, :m], ws.yf[:blocks, :m]
+            np.copyto(xf, xs[:, k:k + m], casting="unsafe")
+            np.copyto(yf, ys[:, k:k + m], casting="unsafe")
+            np.matmul(xf.transpose(0, 2, 1), yf, out=counts)
+            np.bitwise_xor(parity, counts, out=parity, dtype=np.uint8, casting="unsafe")
     # Shift row i of each parity matrix right by i: padded rows of 2q cut
     # to 2q-1 put C[i, j] in column i + j, so column sums are the
     # anti-diagonal sums.
-    padded = np.zeros((blocks, q, 2 * q), np.uint8)
+    padded = ws.padded[:blocks]
     np.bitwise_and(parity, 1, out=padded[:, :, :q])
     skewed = padded.reshape(blocks, 2 * q * q)[:, :q * (2 * q - 1)].reshape(blocks, q, 2 * q - 1)
     product = skewed.sum(axis=1, dtype=np.uint8) & 1
@@ -140,6 +177,8 @@ class Extraction:
 
     def __init__(self, x_stream, y_stream, plan: EqPlan | NeqPlan, *,
                  max_blocks: int | None = None):
+        if max_blocks is not None and max_blocks < 1:
+            raise ValueError("max_blocks must be >= 1")
         self._x = BitReader(x_stream)
         self._y = BitReader(y_stream)
         self.plan = plan
@@ -166,6 +205,7 @@ class Extraction:
         self._stop_reason = "completed"
         self._blocks_done = 0
         self._output_bits = 0
+        self._workspace: _Workspace | None = None
         self.report: ExtractionReport | None = None
 
     def __iter__(self) -> Iterator[OutputChunk]:
@@ -204,7 +244,11 @@ class Extraction:
                 want = min(want, limit - self._blocks_done)
             ready = self._ready_blocks(want, window)
             if ready:
-                bits = _inner_products(self._x, self._y, ready, width, n)
+                ws = self._workspace
+                if ws is None or ws.q != width or ws.blocks < want:
+                    self._workspace = ws = None  # free the old arrays first
+                    self._workspace = ws = _Workspace(want, width, n)
+                bits = _inner_products(ws, self._x, self._y, ready, n)
                 nbytes = (width + 7) // 8
                 packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
                 for i in range(ready):
@@ -249,6 +293,7 @@ class Extraction:
         return want
 
     def _finalize(self, wall: float) -> None:
+        self._workspace = None
         k = self._blocks_done
         exhausted = self._stop_reason == "input-exhausted"
         self.report = ExtractionReport(

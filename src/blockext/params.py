@@ -304,8 +304,10 @@ def error_bound_neq(plan: NeqPlan, k: int | None = None) -> float:
     """log2 bound on the distance after k blocks; k=None means the infinite run.
 
     Finite k sums the per-block bounds in log2 domain (ascending block order,
-    base-2 log-sum-exp anchored at the first and largest term).  The infinite
-    run uses the closed-form geometric limit and requires growth >= 1.
+    base-2 log-sum-exp anchored at the first and largest term); with
+    growth 0 the k terms are equal, so that sum is exactly k times the first.
+    The infinite run uses the closed-form geometric limit and requires
+    growth >= 1.
     """
     if k is None:
         if plan.growth < 1:
@@ -315,6 +317,9 @@ def error_bound_neq(plan: NeqPlan, k: int | None = None) -> float:
         return _closed_form_limit(plan.first_field_bits, plan.growth * plan.bits_per_sample)
     if k < 1:
         raise ValueError("block count must be >= 1")
+    if plan.growth == 0:
+        first = error_bound_block(plan.vec_len, plan.first_field_bits, plan.entropy_rate)
+        return first + math.log2(k)
     terms = [
         error_bound_block(plan.vec_len, plan.field_bits_for_block(i), plan.entropy_rate)
         for i in range(1, k + 1)

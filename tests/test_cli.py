@@ -211,6 +211,18 @@ def test_extract_rejects_zero_workers(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_extract_neq_rejects_nonpositive_max_blocks(tmp_path, capsys, value):
+    x, y = tmp_path / "x.bin", tmp_path / "y.bin"
+    x.write_bytes(bytes(1024))
+    y.write_bytes(bytes(1024))
+    out = tmp_path / "z.bin"
+    assert run_cli(*NEQ_FLAGS, "--x", str(x), "--y", str(y), "--out", str(out),
+                   "--max-blocks", value) == 2
+    assert "max_blocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_file_model_uncertifiable(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes(64))

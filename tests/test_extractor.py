@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockext import extractor
 from blockext.bitio import READ_SIZE, pack_values, unpack_values
 from blockext.extractor import _batch_size, ext_ip, extract_eq, extract_neq
 from blockext.gf2q import MAX_FIELD_BITS, field
@@ -482,6 +483,83 @@ def test_one_block_near_rate_one_half_matches_scalar_reference():
     assert chunks[0].bits == ext_ip(field(80), unpack_values(xb, 80, n), unpack_values(yb, 80, n))
 
 
+# ---------- memory and the batch workspace ----------
+
+class LazyStream:
+    """`total` pseudo-random bytes, generated as they are read."""
+
+    def __init__(self, total, seed):
+        self._left = total
+        self._rnd = random.Random(seed)
+
+    def read(self, size):
+        size = min(size, self._left)
+        self._left -= size
+        return self._rnd.randbytes(size)
+
+
+class NullSink:
+    def write(self, data):
+        return len(data)
+
+
+def _traced_peak(extract, plan, nbytes):
+    """tracemalloc peak of a whole run over two lazy streams of nbytes each."""
+    run = extract(LazyStream(nbytes, 1), LazyStream(nbytes, 2), plan)
+    tracemalloc.start()
+    try:
+        report = run.run(NullSink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, report
+
+
+@pytest.mark.parametrize("mode", ["eq", "neq"])
+def test_memory_does_not_grow_with_input_length(mode):
+    # The q=80 headline plan, and incremental mode with growth 0 at the same
+    # width: both run until the input is exhausted.
+    if mode == "eq":
+        extract, plan = extract_eq, plan_eq(16, 2**47, "10.74/16", "2^-30")
+        assert (plan.vec_len, plan.field_bits) == (71, 80)
+    else:
+        extract, plan = extract_neq, plan_neq(16, "10.74/16", 80, 0)
+        assert plan.vec_len == 71
+    _traced_peak(extract, plan, 1 << 16)   # fills the caches both runs share
+    small, small_report = _traced_peak(extract, plan, 1 << 20)
+    large, large_report = _traced_peak(extract, plan, 8 << 20)
+    assert large_report.blocks_completed >= 8 * small_report.blocks_completed - 1
+    assert abs(large - small) <= 64 * 1024, (small, large)
+
+
+def test_one_workspace_per_run_of_equal_widths(monkeypatch):
+    built = []
+
+    class CountingWorkspace(extractor._Workspace):
+        def __init__(self, blocks, q, n):
+            built.append((blocks, q))
+            super().__init__(blocks, q, n)
+
+    monkeypatch.setattr(extractor, "_Workspace", CountingWorkspace)
+    rnd = random.Random(19)
+    batch = _batch_size(80, 71)
+    blocks = 3 * batch + 7                           # three full batches and a short one
+    window_bytes = 80 * 71 // 8
+    plan = tiny_eq_plan(16, blocks * 80 * 71 // 16, "10.74/16", 71, 80)
+    longer = tiny_eq_plan(16, 2 * blocks * 80 * 71 // 16, "10.74/16", 71, 80)
+    xb, yb = rnd.randbytes(blocks * window_bytes), rnd.randbytes(blocks * window_bytes)
+    for eq_plan, stop in ((plan, "completed"), (longer, "input-exhausted")):
+        built.clear()
+        report = extract_eq(xb, yb, eq_plan).run(io.BytesIO())
+        assert (report.blocks_completed, report.stop_reason) == (blocks, stop)
+        assert built == [(batch, 80)]
+    built.clear()
+    nplan = plan_neq(8, "3/4", 8, 1)
+    report = extract_neq(rnd.randbytes(4000), rnd.randbytes(4000), nplan).run(io.BytesIO())
+    assert report.blocks_completed > 3
+    assert built == [(1, 8 + 8 * i) for i in range(report.blocks_completed)]
+
+
 # ---------- equivalence of the two modes ----------
 
 def test_neq_growth_zero_equals_eq():
@@ -522,6 +600,15 @@ def test_workers_validated_at_call_time():
         extract_eq(bytes([0b11]), bytes([0b11]), plan, workers=0)
     with pytest.raises(ValueError):
         extract_neq(b"", b"", plan_neq(1, "3/4", 1, 1), workers=0)
+
+
+def test_max_blocks_validated_at_call_time():
+    plan = tiny_eq_plan(1, 2, 1, 2, 1)
+    for max_blocks in (0, -3):
+        with pytest.raises(ValueError, match="max_blocks"):
+            extract_eq(bytes([0b11]), bytes([0b11]), plan, max_blocks=max_blocks)
+        with pytest.raises(ValueError, match="max_blocks"):
+            extract_neq(b"", b"", plan_neq(1, "3/4", 1, 1), max_blocks=max_blocks)
 
 
 def test_extraction_is_single_use():

@@ -129,6 +129,23 @@ def test_error_bound_neq_finite_properties():
     assert abs(error_bound_neq(plan, 60) - closed) < 0.01
 
 
+def _error_bound_neq_loop(plan, k):
+    """Reference: the log2-domain sum of the k per-block bounds, term by term."""
+    terms = [error_bound_block(plan.vec_len, plan.field_bits_for_block(i), plan.entropy_rate)
+             for i in range(1, k + 1)]
+    acc = 0.0
+    for t in terms:
+        acc += 2.0 ** (t - terms[0])
+    return terms[0] + math.log2(acc)
+
+
+@pytest.mark.parametrize("growth", [0, 1, 3])
+def test_error_bound_neq_matches_the_term_loop(growth):
+    plan = plan_neq(16, Fraction(3, 4), 16, growth)
+    for k in (1, 2, 3, 7, 64, 97, 1000, 4321):
+        assert error_bound_neq(plan, k) == _error_bound_neq_loop(plan, k), k
+
+
 def test_error_bound_neq_divergence():
     plan = plan_neq(16, Fraction(3, 4), 16, 0)
     assert plan.log2_error_limit is None
