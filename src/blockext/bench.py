@@ -115,8 +115,8 @@ def measure_throughput(
     The matching gate-model cost is included so measured software rates can
     sit next to the hardware projection they approximate.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < float("inf"):
+        raise ValueError("duration must be positive and finite")
     rng = np.random.default_rng(seed)
     # Enough input for ~64 blocks per pass keeps per-pass overhead small.
     blocks_per_pass = min(plan.num_blocks, 64) or 1
@@ -125,10 +125,9 @@ def measure_throughput(
     y_buf = rng.bytes(nbytes)
 
     def one_pass() -> tuple[int, int]:
-        run = extract_eq(io.BytesIO(x_buf), io.BytesIO(y_buf), plan,
-                         max_blocks=blocks_per_pass)
-        out_bits = sum(chunk.width for chunk in run)
-        return run.report.blocks_completed, out_bits
+        report = extract_eq(io.BytesIO(x_buf), io.BytesIO(y_buf), plan,
+                            max_blocks=blocks_per_pass).run()
+        return report.blocks_completed, report.output_bits
 
     warm_deadline = time.perf_counter() + 0.1 * duration_s
     while time.perf_counter() < warm_deadline:

@@ -30,6 +30,7 @@ from .errors import (
 from .extractor import extract_eq, extract_neq
 from .gf2q import field
 from .params import (
+    _validate_sample_bits,
     as_rational,
     parse_count,
     parse_probability,
@@ -60,8 +61,9 @@ def _add_eq_plan_flags(p: argparse.ArgumentParser, need_n: bool = True) -> None:
                        help="raw bits per source; must divide by --b")
 
 
-def _eq_plan_from_args(args, default_samples: int | None = None):
+def _eq_plan_from_args(args, default_bits: int | None = None):
     b = int(args.b)
+    _validate_sample_bits(b)  # before any division by b
     if args.N is not None:
         samples = parse_count(args.N)
     elif args.n_bits is not None:
@@ -70,7 +72,7 @@ def _eq_plan_from_args(args, default_samples: int | None = None):
             raise ValueError(f"--N-bits {bits} is not a multiple of --b {b}")
         samples = bits // b
     else:
-        samples = default_samples
+        samples = default_bits // b
     return plan_eq(b, samples, as_rational(args.delta, "delta"),
                    parse_probability(args.epsilon))
 
@@ -125,13 +127,12 @@ def _extract(args, extract, plan, **options) -> int:
 
 
 def cmd_extract_eq(args) -> int:
-    default_samples = None
+    default_bits = None
     if args.N is None and args.n_bits is None:
         if "-" in (args.x, args.y):
             raise ValueError("--N or --N-bits is required when reading standard input")
-        usable = min(os.path.getsize(args.x), os.path.getsize(args.y))
-        default_samples = usable * 8 // int(args.b)
-    return _extract(args, extract_eq, _eq_plan_from_args(args, default_samples))
+        default_bits = 8 * min(os.path.getsize(args.x), os.path.getsize(args.y))
+    return _extract(args, extract_eq, _eq_plan_from_args(args, default_bits))
 
 
 def cmd_extract_neq(args) -> int:
@@ -171,7 +172,8 @@ def cmd_simulate(args) -> int:
 # Each verify suite yields (text, ok) per check; cmd_verify appends PASS/FAIL.
 
 def _hadamard_checks(args):
-    for q, n in verify_mod.hadamard_instances(args.max_bits):
+    cap = min(args.max_bits, verify_mod.MAX_HADAMARD_BITS)
+    for q, n in verify_mod.hadamard_instances(cap):
         yield f"hadamard q={q} n={n}:", verify_mod.check_hadamard(field(q), n)
 
 

@@ -21,16 +21,18 @@ GF(2) bit-matrix product, and each block is reduced once, at the end (see
 :func:`_inner_products`).  A run computes every batch in one workspace of
 arrays (:class:`_Workspace`) that it keeps until the block width changes,
 so its memory is bounded by _BATCH_BUDGET and not by the input length, and
-a long run allocates nothing large after its first batch.  :func:`ext_ip`
-stays as the independent scalar reference; the two share only the shipped
-modulus table.
+a long run allocates nothing large after its first batch.  Iteration only
+yields chunks: :meth:`Extraction.run` alone packs them into bytes, writing
+each chunk's as it is made.  :func:`ext_ip` stays as the independent scalar
+reference; the two share only the shipped modulus table.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -82,24 +84,6 @@ def _batch_size(q: int, n: int) -> int:
     return max(1, _BATCH_BUDGET // (q * max(q, n)))
 
 
-@lru_cache(maxsize=8)
-def _reduction_matrix(q: int) -> np.ndarray:
-    """(2q-1) x q float32 GF(2) matrix whose row k holds the bits of x^k mod f."""
-    f = modulus_int(q)
-    rows, r = [], 1
-    for _ in range(2 * q - 1):
-        rows.append(r)
-        r <<= 1
-        if r >> q:
-            r ^= f
-    nbytes = (q + 7) // 8
-    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in rows), np.uint8)
-    bits = np.unpackbits(raw, bitorder="little").reshape(2 * q - 1, 8 * nbytes)[:, :q]
-    matrix = bits.astype(np.float32)
-    matrix.flags.writeable = False
-    return matrix
-
-
 class _Workspace:
     """The arrays a batch of up to `blocks` blocks of width q computes in.
 
@@ -109,11 +93,10 @@ class _Workspace:
     mapped from the OS and faulted in again every time.  As
     blocks * q * max(q, n) <= _BATCH_BUDGET unless blocks == 1, it holds
     at most 15 * _BATCH_BUDGET bytes, or 8 * _BATCH_BUDGET + 7 * q * q for
-    one block.
+    one block, besides the reduction matrix's 4 * (2q - 1) * q.
     """
 
     def __init__(self, blocks: int, q: int, n: int):
-        self.blocks = blocks
         self.q = q
         # Elements per product, and decoded at once (below n only if blocks == 1).
         self.step = max(1, min(255, _GEMM_CELLS // (q * q)))
@@ -125,6 +108,16 @@ class _Workspace:
         self.parity = np.empty((blocks, q, q), np.uint8)
         # Rows of 2q whose right half stays zero (see _inner_products).
         self.padded = np.zeros((blocks, q, 2 * q), np.uint8)
+        # (2q-1) x q GF(2) matrix whose row k holds the bits of x^k mod f.
+        f, rows, r = modulus_int(q), [], 1
+        for _ in range(2 * q - 1):
+            rows.append(r)
+            r <<= 1
+            if r >> q:
+                r ^= f
+        raw = np.frombuffer(b"".join(v.to_bytes((q + 7) // 8, "little") for v in rows), np.uint8)
+        bits = np.unpackbits(raw, bitorder="little").reshape(2 * q - 1, -1)[:, :q]
+        self.reduction = bits.astype(np.float32)
 
 
 def _inner_products(ws: _Workspace, x: BitReader, y: BitReader, blocks: int,
@@ -163,7 +156,7 @@ def _inner_products(ws: _Workspace, x: BitReader, y: BitReader, blocks: int,
     np.bitwise_and(parity, 1, out=padded[:, :, :q])
     skewed = padded.reshape(blocks, 2 * q * q)[:, :q * (2 * q - 1)].reshape(blocks, q, 2 * q - 1)
     product = skewed.sum(axis=1, dtype=np.uint8) & 1
-    reduced = product.astype(np.float32) @ _reduction_matrix(q)
+    reduced = product.astype(np.float32) @ ws.reduction
     return reduced.astype(np.uint8) & 1
 
 
@@ -209,24 +202,21 @@ class Extraction:
         self.report: ExtractionReport | None = None
 
     def __iter__(self) -> Iterator[OutputChunk]:
-        return self._iterate(None, None)
-
-    def _iterate(self, sink, writer: BitWriter | None) -> Iterator[OutputChunk]:
         if self._started:
             raise RuntimeError("an Extraction is single-use; create a new one")
         self._started = True
         t0 = time.perf_counter()
         try:
-            yield from self._chunks(sink, writer)
+            yield from self._chunks()
         except BaseException:
-            # The consumer closed the iterator, or a read, a write or the
-            # caller failed, before the schedule ended.
+            # The consumer closed the iterator (run() does if a write fails),
+            # or a read or the caller failed, before the schedule ended.
             self._stop_reason = "interrupted"
             raise
         finally:
             self._finalize(time.perf_counter() - t0)
 
-    def _chunks(self, sink, writer: BitWriter | None) -> Iterator[OutputChunk]:
+    def _chunks(self) -> Iterator[OutputChunk]:
         # Computes each run of equal-width blocks of the schedule in batches
         # (in incremental mode a run is one block), but consumes a block's
         # windows only as its chunk is yielded, and reads the streams exactly
@@ -245,7 +235,7 @@ class Extraction:
             ready = self._ready_blocks(want, window)
             if ready:
                 ws = self._workspace
-                if ws is None or ws.q != width or ws.blocks < want:
+                if ws is None or ws.q != width:
                     self._workspace = ws = None  # free the old arrays first
                     self._workspace = ws = _Workspace(want, width, n)
                 bits = _inner_products(ws, self._x, self._y, ready, n)
@@ -258,12 +248,6 @@ class Extraction:
                     self._output_bits += width
                     value = int.from_bytes(packed[i * nbytes:(i + 1) * nbytes], "little")
                     yield OutputChunk(self._blocks_done, value, width)
-                if writer is not None:
-                    stream = np.packbits(bits.reshape(-1), bitorder="little").tobytes()
-                    writer.write_bits(int.from_bytes(stream, "little"), ready * width)
-                    data = writer.take()
-                    if data:
-                        sink.write(data)
             if ready < want:
                 # A block-by-block read would have asked both streams for the
                 # next window; the one that had it consumed it.
@@ -331,19 +315,32 @@ class Extraction:
         """Consume the whole run; optionally pack chunks into `sink`.
 
         Chunk bits are concatenated in block order and packed little-endian
-        into bytes, which are written to `sink` as each batch of blocks
-        completes; fewer than 8 bits wait for the next batch.  The final
-        partial byte is zero-padded and the pad length recorded in the
-        report.
+        into bytes; each chunk's completed bytes are written as soon as it
+        is made.  The final partial byte is zero-padded, `sink` is flushed
+        if it can be, and the pad length is recorded in the report.  A write
+        or flush that fails ends the run as ``interrupted``, with no pad.
         """
-        writer = BitWriter() if sink is not None else None
-        for _ in self._iterate(sink, writer):
-            pass
-        if writer is not None:
+        writer = BitWriter()
+        with contextlib.closing(iter(self)) as chunks:
+            for chunk in chunks:
+                if sink is not None:
+                    writer.write_bits(chunk.bits, chunk.width)
+                    if data := writer.take():
+                        sink.write(data)
+        if sink is None:
+            return self.report
+        try:
             data, pad = writer.getvalue()
             if data:
                 sink.write(data)
-            self.report.pad_bits = pad
+            if hasattr(sink, "flush"):
+                sink.flush()
+        except BaseException:
+            # The chunks all came, so the report says completed: remake it.
+            self._stop_reason = "interrupted"
+            self._finalize(self.report.wall_time_s)
+            raise
+        self.report.pad_bits = pad
         return self.report
 
 

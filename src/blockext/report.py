@@ -131,7 +131,7 @@ class ExtractionReport:
     before the next block), ``block-limit`` (``max_blocks`` was reached),
     ``width-cap`` (the next incremental block would exceed the 128-bit
     field cap) or ``interrupted`` (the consumer closed the chunk iterator
-    before the schedule ended, or a read or a write failed).
+    before the schedule ended, or a read, a write or a flush failed).
     """
 
     mode: str                       # "eq" | "neq"

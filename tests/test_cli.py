@@ -175,6 +175,39 @@ def test_extract_from_a_stream_with_no_data_ready_is_io_error(tmp_path, monkeypa
     assert rep.stop_reason == "interrupted" and rep.pad_bits is None
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_extract_to_a_full_device_reports_interrupted(tmp_path, capsys):
+    x, y = tmp_path / "x.bin", tmp_path / "y.bin"
+    x.write_bytes(bytes(range(250)) * 4)
+    y.write_bytes(bytes(range(5, 255)) * 4)
+    report = tmp_path / "r.txt"
+    # 12 output bytes: every write fits the file buffer, and the flush fails.
+    assert run_cli("extract-eq", "--x", str(x), "--y", str(y), "--out", "/dev/full",
+                   "--b", "16", "--delta", "10.74/16", "--epsilon", "2^-20",
+                   "--N", "2^9", "--report", str(report)) == 5
+    assert "No space left" in capsys.readouterr().err
+    rep = ExtractionReport.from_text(report.read_text())
+    assert (rep.blocks_completed, rep.output_bits) == (3, 96)
+    assert rep.stop_reason == "interrupted" and rep.pad_bits is None
+
+
+@pytest.mark.parametrize("argv", [
+    ("params", "--N-bits", "64", "--epsilon", "2^-8"),
+    ("extract-eq", "--N-bits", "64", "--epsilon", "2^-8"),
+    ("extract-eq", "--epsilon", "2^-8"),
+    ("bench", "throughput", "--N-bits", "64", "--epsilon", "2^-8"),
+], ids=["params", "extract-eq-N-bits", "extract-eq-inferred-N", "bench-throughput"])
+def test_zero_bits_per_sample_is_usage_error(tmp_path, capsys, argv):
+    x, y = tmp_path / "x.bin", tmp_path / "y.bin"
+    x.write_bytes(bytes(64))
+    y.write_bytes(bytes(64))
+    files = ("--x", str(x), "--y", str(y), "--out", str(tmp_path / "z.bin"))
+    extra = files if argv[0] == "extract-eq" else ()
+    assert run_cli(*argv, *extra, "--b", "0", "--delta", "3/4") == 2
+    assert "bits per sample must be in 1..64" in capsys.readouterr().err
+    assert not (tmp_path / "z.bin").exists()
+
+
 def test_extract_eq_stdin_refusals(tmp_path, capsys):
     y = tmp_path / "y.bin"
     y.write_bytes(bytes(64))
@@ -344,6 +377,17 @@ def test_verify_all_report_is_pinned(capsys):
     assert capsys.readouterr().out == VERIFY_ALL_4
 
 
+def test_verify_clamps_every_suite_to_its_cap(monkeypatch, capsys):
+    monkeypatch.setattr(cli.verify_mod, "MAX_HADAMARD_BITS", 4)
+    assert run_cli("verify", "--suite", "hadamard", "--max-bits", "4") == 0
+    capped = capsys.readouterr().out
+    assert run_cli("verify", "--suite", "hadamard", "--max-bits", "5") == 0
+    assert capsys.readouterr().out == capped
+    monkeypatch.setattr(cli.verify_mod, "MAX_DENSE_BITS", 4)
+    assert run_cli("verify", "--suite", "all", "--max-bits", "5") == 0
+    assert capsys.readouterr().out == VERIFY_ALL_4
+
+
 def test_verify_failure_is_reported_and_exits_6(monkeypatch, tmp_path, capsys):
     real = cli.verify_mod.check_first_bit_bijection
     monkeypatch.setattr(cli.verify_mod, "check_first_bit_bijection",
@@ -371,3 +415,12 @@ def test_bench_throughput(capsys):
                    "--duration", "0.2") == 0
     _, fields = parse_document(capsys.readouterr().out)
     assert float(fields["output_bits_per_second"]) > 0
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+def test_bench_throughput_refuses_a_non_finite_duration(monkeypatch, capsys, duration):
+    monkeypatch.setattr(cli.bench_mod, "extract_eq",
+                        lambda *a, **k: pytest.fail("a measurement pass started"))
+    assert run_cli("bench", "throughput", "--b", "8", "--delta", "3/4",
+                   "--epsilon", "2^-8", "--N", "4096", "--duration", duration) == 2
+    assert "finite" in capsys.readouterr().err

@@ -292,6 +292,80 @@ def test_stream_with_no_data_ready_interrupts_the_run():
     assert run.report.x_discarded_tail_bits == run.report.y_discarded_tail_bits == 0
 
 
+class FailingSink:
+    """Keeps what it is given until its `fail_at`-th write (1-based) raises."""
+
+    def __init__(self, fail_at: int):
+        self.data = bytearray()
+        self.refused = b""
+        self.writes = 0
+        self.fail_at = fail_at
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            self.refused = bytes(data)
+            raise BrokenPipeError("sink closed")
+        self.data += data
+        return len(data)
+
+
+@pytest.mark.parametrize("mode", ["eq", "neq"])
+def test_sink_failing_mid_run_leaves_a_prefix_and_an_interrupted_report(mode):
+    rnd = random.Random(20)
+    xb, yb = rnd.randbytes(32768), rnd.randbytes(32768)
+    if mode == "eq":
+        # 46 blocks of 80 bits in batches of 20: write 25 falls mid-batch.
+        extract, plan = extract_eq, tiny_eq_plan(16, 16384, "10.74/16", 71, 80)
+    else:
+        # Widths 6, 9, 12, ...: most chunks leave bits pending.
+        extract, plan = extract_neq, plan_neq(3, "3/4", 6, 1)
+    whole = io.BytesIO()
+    extract(xb, yb, plan).run(whole)
+    for fail_at in (1, 2, 25):
+        sink = FailingSink(fail_at)
+        run = extract(xb, yb, plan)
+        with pytest.raises(BrokenPipeError):
+            run.run(sink)
+        rep = run.report
+        assert rep.stop_reason == "interrupted" and rep.pad_bits is None
+        assert whole.getvalue().startswith(sink.data + sink.refused)
+        assert 8 * len(sink.data) <= rep.output_bits
+        # Blocks count through the chunk whose bytes were refused.
+        assert rep.output_bits // 8 == len(sink.data) + len(sink.refused)
+        assert rep.output_bits == sum(
+            c.width for c in extract(xb, yb, plan, max_blocks=rep.blocks_completed))
+
+
+def test_failing_final_flush_reports_interrupted():
+    rnd = random.Random(21)
+    plan = tiny_eq_plan(8, 300, "3/4", 6, 12)   # 33 blocks of 12 bits: 4 pad bits
+
+    class FlushFails:
+        def __init__(self):
+            self.data = bytearray()
+
+        def write(self, data):
+            self.data += data
+            return len(data)
+
+        def flush(self):
+            raise OSError("no space left")
+
+    xb, yb = rnd.randbytes(300), rnd.randbytes(300)
+    sink = FlushFails()
+    run = extract_eq(xb, yb, plan)
+    with pytest.raises(OSError):
+        run.run(sink)
+    rep = run.report
+    assert rep.stop_reason == "interrupted" and rep.pad_bits is None
+    assert rep.blocks_completed == plan.num_blocks
+    assert rep.x_discarded_tail_bits == rep.y_discarded_tail_bits == 0
+    whole = io.BytesIO()
+    assert extract_eq(xb, yb, plan).run(whole).pad_bits == 4
+    assert bytes(sink.data) == whole.getvalue()   # the padded byte went out first
+
+
 def test_sink_receives_bytes_while_blocks_remain():
     rnd = random.Random(17)
     plan = tiny_eq_plan(16, 16384, "10.74/16", 71, 80)   # 46 blocks
