@@ -6,8 +6,9 @@ One block of the headline configuration (n=71 elements of 80 bits) costs
 device with 3x10^5 LUTs at 5 ops each and a 200 MHz clock, four such
 blocks fit in parallel, projecting 64 Gbps of output.  That parallelism
 is the hardware-lane model; the software path runs on one thread,
-computing batches of equal-width blocks with numpy, and its single measured
-rate on the same plan shape is printed below, for scale.
+computing batches of equal-width blocks with numpy.  Below, for scale, is
+the steady-state rate of one software run at the q=32 reference plan's
+block shape over endless in-memory input.
 """
 
 from blockext import (
@@ -37,7 +38,7 @@ total_ops = plan.num_blocks * gate_count(plan.vec_len, plan.field_bits, 4885)
 print(f"whole-run logic model: {plan.num_blocks} blocks x {cost.block_ops} "
       f"= {total_ops:.3e} bit-ops")
 
-print("\nsoftware measurement (q=32 plan, in-memory buffers, one thread):")
+print("\nsoftware steady-state rate of one run (q=32 plan, in-memory input, one thread):")
 small = plan_eq(16, 2**16, "10.74/16", "2^-20")
 rep = measure_throughput(small, duration_s=1.0, mul_ops=4885)
 print(f"  {rep.output_bits_per_second / 1e3:.0f} kbit/s out "

@@ -244,6 +244,9 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.max_bits < 1:
+        # A suite that enumerates no instance must not read as a pass.
+        raise ValueError(f"--max-bits must be >= 1, got {args.max_bits}")
     lines: list[str] = []
     failures = 0
     for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
@@ -265,7 +268,7 @@ def cmd_bench_cost(args) -> int:
     )
     model = bench_mod.FpgaModel(
         clock_hz=float(args.clock_mhz) * 1e6,
-        lut_count=int(float(args.luts)),
+        lut_count=parse_count(args.luts),
         ops_per_lut=int(args.ops_per_lut),
     )
     proj = bench_mod.projected_speed(model, cost)

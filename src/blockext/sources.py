@@ -233,23 +233,35 @@ def _certify_joint(model: SourceModel) -> MinEntropyCertificate:
 
 
 def parse_model(config: dict) -> SourceModel:
-    """Build a model from a parsed JSON config dict."""
+    """Build a model from a parsed JSON config dict.
+
+    A config that is not an object, or lacks a key its kind needs, raises
+    ValueError naming the problem.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(f"source config must be a JSON object, not {type(config).__name__}")
     kind = config.get("kind")
+
+    def need(key: str):
+        if key not in config:
+            raise ValueError(f"source config of kind {kind!r} needs the key {key!r}")
+        return config[key]
+
     seed = int(config.get("seed", 0))
     b = int(config.get("b", config.get("bits_per_sample", 1)))
     if kind == "iid-biased":
-        return iid_biased(float(config["p"]), seed=seed)
+        return iid_biased(float(need("p")), seed=seed)
     if kind == "iid-table":
-        return iid_table(config["probs"], b, seed=seed)
+        return iid_table(need("probs"), b, seed=seed)
     if kind == "uniform":
         return iid_table(np.full(1 << b, 1.0 / (1 << b)), b, seed=seed)
     if kind == "markov":
-        return markov(config["transitions"], b, seed=seed)
+        return markov(need("transitions"), b, seed=seed)
     if kind == "file":
-        return file_source(str(config["path"]), b)
+        return file_source(str(need("path")), b)
     if kind == "joint":
         size = 1 << b
-        probs = np.asarray(config["probs"], dtype=np.float64)
+        probs = np.asarray(need("probs"), dtype=np.float64)
         m = int(round(math.log(probs.size, size)))
         return joint_table(probs.reshape((size,) * m), b)
     raise ValueError(f"unknown source kind {kind!r}")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from blockext import bench
 from blockext.bench import (
     DEFAULT_MUL_OPS_Q80,
     FpgaModel,
@@ -53,6 +54,24 @@ def test_projected_speed_zero_lanes():
 def test_gate_count_validation():
     with pytest.raises(ValueError):
         gate_count(0, 80, 4885)
+    for mul_ops in (0, -5):
+        with pytest.raises(ValueError, match="mul_ops"):
+            gate_count(1, 1, mul_ops)
+
+
+@pytest.mark.parametrize("clock_hz, lut_count, ops_per_lut", [
+    (float("nan"), 300_000, 5), (float("inf"), 300_000, 5), (0.0, 300_000, 5),
+    (-1.0, 300_000, 5), (200e6, 0, 5), (200e6, 300_000, 0),
+])
+def test_fpga_model_validation(clock_hz, lut_count, ops_per_lut):
+    with pytest.raises(ValueError):
+        FpgaModel(clock_hz=clock_hz, lut_count=lut_count, ops_per_lut=ops_per_lut)
+
+
+def test_projected_speed_beyond_the_float_range():
+    cost = GateCostModel(field_bits=80, vec_len=71, mul_ops=4885)
+    with pytest.raises(ValueError, match="overflows"):
+        projected_speed(FpgaModel(clock_hz=200e6, lut_count=10**400, ops_per_lut=5), cost)
 
 
 def test_measure_throughput_tiny_plan():
@@ -71,3 +90,19 @@ def test_measure_throughput_short_duration_warns():
     assert rep.warnings
     with pytest.raises(ValueError):
         measure_throughput(plan, duration_s=0.0)
+
+
+def test_measure_throughput_runs_one_extraction(monkeypatch):
+    calls, real = [], bench.extract_neq
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])   # the plan
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "extract_neq", counting)
+    plan = plan_eq(8, 4096, "3/4", "2^-8")
+    for _ in range(2):
+        calls.clear()
+        rep = measure_throughput(plan, duration_s=0.2, seed=2)
+        assert len(calls) == 1 and rep.blocks > 0
+        assert (calls[0].first_field_bits, calls[0].growth) == (plan.field_bits, 0)

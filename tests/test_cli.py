@@ -9,6 +9,7 @@ import pytest
 
 from blockext import cli
 from blockext.cli import main
+from blockext.params import plan_eq
 from blockext.report import ExtractionReport, parse_document, plan_from_text
 from tests.test_bitio import NotReadyIO
 
@@ -280,6 +281,20 @@ def test_simulate_markov_certificate(tmp_path, capsys):
     assert abs(float(fields["certified_rate"]) - 0.5145731728297583) < 1e-12
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"kind": "iid-biased"}, "needs the key 'p'"),
+    ({"kind": "markov", "b": 1}, "needs the key 'transitions'"),
+    ([{"kind": "iid-biased", "p": 0.5}], "must be a JSON object"),
+], ids=["no-p", "no-transitions", "not-an-object"])
+def test_simulate_malformed_config_is_usage_error(tmp_path, capsys, config, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.bin"
+    assert run_cli("simulate", "--config", str(cfg), "--count", "64", "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_truncated_file_is_io_error(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes(4))
@@ -287,6 +302,14 @@ def test_simulate_truncated_file_is_io_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"kind": "file", "b": 8, "path": str(raw)}))
     assert run_cli("simulate", "--config", str(cfg), "--count", "64",
                    "--out", str(tmp_path / "copy.bin")) == 5
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("suite", ["hadamard", "bias", "distance", "all"])
+def test_verify_max_bits_below_one_is_usage_error(capsys, suite, value):
+    assert run_cli("verify", "--suite", suite, "--max-bits", value) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--max-bits must be >= 1" in err
 
 
 def test_verify_fast_suites(tmp_path, capsys):
@@ -409,6 +432,24 @@ def test_bench_cost_and_zero_lane_exit(capsys):
     assert run_cli("bench", "cost", "--ops-per-lut", "1") == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("--vec-len", "1", "--field-bits", "1", "--mul-ops", "0"),
+    ("--luts", "1e400"),
+    ("--mul-ops", "-5"),
+    ("--clock-mhz", "nan"),
+], ids=["zero-mul-ops", "huge-luts", "negative-mul-ops", "nan-clock"])
+def test_bench_cost_rejects_bad_numbers(capsys, argv):
+    assert run_cli("bench", "cost", *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_bench_cost_parses_luts_as_a_count(capsys):
+    assert run_cli("bench", "cost", "--luts", "3e5") == 0
+    _, fields = parse_document(capsys.readouterr().out)
+    assert fields["lanes"] == "4"
+
+
 def test_bench_throughput(capsys):
     assert run_cli("bench", "throughput", "--b", "8", "--delta", "3/4",
                    "--epsilon", "2^-8", "--N", "4096",
@@ -419,8 +460,22 @@ def test_bench_throughput(capsys):
 
 @pytest.mark.parametrize("duration", ["inf", "nan"])
 def test_bench_throughput_refuses_a_non_finite_duration(monkeypatch, capsys, duration):
-    monkeypatch.setattr(cli.bench_mod, "extract_eq",
+    monkeypatch.setattr(cli.bench_mod, "extract_neq",
                         lambda *a, **k: pytest.fail("a measurement pass started"))
     assert run_cli("bench", "throughput", "--b", "8", "--delta", "3/4",
                    "--epsilon", "2^-8", "--N", "4096", "--duration", duration) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mul_ops", [None, "4885"])
+def test_bench_throughput_document_keys(capsys, mul_ops):
+    extra = ("--mul-ops", mul_ops) if mul_ops else ()
+    assert run_cli("bench", "throughput", "--b", "8", "--delta", "3/4",
+                   "--epsilon", "2^-8", "--N", "4096", "--duration", "0.2", *extra) == 0
+    kind, fields = parse_document(capsys.readouterr().out)
+    keys = {"machine", "python", "cpus", "duration_s", "blocks", "input_bits_per_source",
+            "output_bits", "output_bits_per_second"}
+    assert kind == "throughput"
+    assert set(fields) == keys | ({"model_block_ops"} if mul_ops else set())
+    q = plan_eq(8, 4096, "3/4", "2^-8").field_bits
+    assert int(fields["output_bits"]) == int(fields["blocks"]) * q > 0

@@ -366,6 +366,92 @@ def test_failing_final_flush_reports_interrupted():
     assert bytes(sink.data) == whole.getvalue()   # the padded byte went out first
 
 
+class InjectedFault(Exception):
+    pass
+
+
+class FaultyReader(DribbleIO):
+    """A dribbled stream whose `fail_at`-th read (1-based) raises."""
+
+    def __init__(self, data: bytes, step: int, fail_at: int | None):
+        super().__init__(data, step)
+        self.reads = 0
+        self.fail_at = fail_at
+
+    def read(self, size: int) -> bytes:
+        self.reads += 1
+        if self.reads == self.fail_at:
+            raise InjectedFault("read")
+        return super().read(size)
+
+
+class FaultySink:
+    """Keeps what it accepts; its `fail_at`-th write, or its flush, raises."""
+
+    def __init__(self, fail_at: int | None = None, fail_flush: bool = False):
+        self.data = bytearray()
+        self.writes = 0
+        self.fail_at = fail_at
+        self.fail_flush = fail_flush
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise InjectedFault("write")
+        self.data += data
+        return len(data)
+
+    def flush(self):
+        if self.fail_flush:
+            raise InjectedFault("flush")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_fault_anywhere_leaves_a_prefix_and_an_interrupted_report(data):
+    mode = data.draw(st.sampled_from(["eq", "neq"]), label="mode")
+    q = data.draw(st.integers(1, MAX_FIELD_BITS), label="q")
+    n = data.draw(st.integers(1, 40), label="n")
+    growth = 0 if mode == "eq" else data.draw(st.integers(0, 3), label="growth")
+    blocks = data.draw(st.integers(1, min(2 * _batch_size(q, n) + 1, 48)), label="blocks")
+    need = sum(w * n for w in (q + i * growth for i in range(blocks)) if w <= MAX_FIELD_BITS)
+    if mode == "eq":
+        extract, plan = extract_eq, tiny_eq_plan(1, need, "3/4", n, q)
+    else:
+        extract, plan = extract_neq, NeqPlan(1, Fraction(3, 4), n, q, growth, None)
+    rnd = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    length = (need + 7) // 8 + data.draw(st.integers(0, q * n // 8), label="extra")
+    xb, yb = rnd.randbytes(length), rnd.randbytes(length)
+    step = data.draw(st.one_of(st.sampled_from(READ_STEPS), st.integers(1, 1 << 20)), label="step")
+    fault = data.draw(st.sampled_from(["xread", "yread", "write", "flush"]), label="fault")
+    reads = data.draw(st.integers(1, length // step + 2), label="fail_at_read")
+    writes = data.draw(st.integers(1, blocks + 1), label="fail_at_write")
+
+    whole = io.BytesIO()
+    extract(xb, yb, plan).run(whole)
+    sink = FaultySink(writes if fault == "write" else None, fault == "flush")
+    run = extract(FaultyReader(xb, step, reads if fault == "xread" else None),
+                  FaultyReader(yb, step, reads if fault == "yread" else None), plan)
+    try:
+        run.run(sink)
+    except InjectedFault:
+        pass
+    else:
+        return   # the drawn fault lay beyond the run's last read or write
+    rep = run.report
+    written = bytes(sink.data)
+    assert whole.getvalue().startswith(written)
+    assert ExtractionReport.from_text(rep.to_text()) == rep
+    assert rep.stop_reason == "interrupted" and rep.pad_bits is None
+    assert 8 * len(written) < rep.output_bits + 8
+    assert rep.x_bits_consumed == rep.y_bits_consumed == rep.output_bits * plan.vec_len
+    assert rep.x_discarded_tail_bits == rep.y_discarded_tail_bits == 0
+    if rep.blocks_completed:
+        again = list(extract(xb, yb, plan, max_blocks=rep.blocks_completed))
+        assert again == list(extract(xb, yb, plan))[:rep.blocks_completed]
+        assert sum(c.width for c in again) == rep.output_bits
+
+
 def test_sink_receives_bytes_while_blocks_remain():
     rnd = random.Random(17)
     plan = tiny_eq_plan(16, 16384, "10.74/16", 71, 80)   # 46 blocks
