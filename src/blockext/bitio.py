@@ -5,6 +5,9 @@ a flat bit stream in little-endian bit order, so bit i of the stream is bit
 (i mod 8) of byte (i div 8).  Values assembled from k consecutive stream bits
 are read least-significant-bit-first, matching the field-element convention
 in :mod:`blockext.gf2q`.
+
+One path each way: :meth:`BitWriter.write_bits` returns the bytes each write
+completes, and :func:`bit_rows_to_ints` decodes rows of peeked bits to ints.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ class BitReader:
     The reader keeps exact counts so callers can account for every bit,
     including a final partial tail that is too short to serve a request.
 
-    Besides :meth:`read_bits`, a caller can :meth:`fill` the buffer, look at
-    buffered bits with :meth:`peek` and commit them later with
-    :meth:`advance`; only committed bits count as consumed.
+    A caller fills the buffer (:meth:`fill`), looks at buffered bits with
+    :meth:`peek` and commits them later with :meth:`advance`; only committed
+    bits count as consumed.  :meth:`read_bits` does all three for one value.
     """
 
     def __init__(self, stream: BinaryIO | bytes | bytearray):
@@ -108,63 +111,48 @@ class BitReader:
 class BitWriter:
     """Pack values into a flat little-endian bit sequence.
 
-    Completed bytes are kept until :meth:`take` hands them out; at most 7
-    bits are pending between writes, so each write costs time in proportion
-    to its own width.
+    Each write returns the whole bytes it completes, so bytes leave as soon
+    as their last bit is written; at most 7 bits stay pending between
+    writes, and each write costs time in proportion to its own width.
     """
 
     def __init__(self):
-        self._done = bytearray()  # completed bytes not yet taken
-        self._acc = 0             # pending bits, fewer than 8
+        self._acc = 0  # pending bits, fewer than 8
         self._acc_bits = 0
-        self._bit_length = 0
 
-    def write_bits(self, value: int, nbits: int) -> None:
+    def write_bits(self, value: int, nbits: int) -> bytes:
+        """Append value as nbits bits; the whole bytes this completes, maybe b""."""
         if value < 0 or value >> nbits:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
         acc = self._acc | value << self._acc_bits
         total = self._acc_bits + nbits
         whole = total >> 3
-        if whole:
-            self._done += (acc & ((1 << 8 * whole) - 1)).to_bytes(whole, "little")
-            acc >>= 8 * whole
-        self._acc, self._acc_bits = acc, total & 7
-        self._bit_length += nbits
-
-    @property
-    def bit_length(self) -> int:
-        """Bits written so far, taken or not."""
-        return self._bit_length
-
-    def take(self) -> bytes:
-        """The completed bytes not taken before; the pending bits stay."""
-        data = bytes(self._done)
-        self._done.clear()
-        return data
+        self._acc, self._acc_bits = acc >> 8 * whole, total & 7
+        return (acc & ((1 << 8 * whole) - 1)).to_bytes(whole, "little")
 
     def getvalue(self) -> tuple[bytes, int]:
-        """Bytes not yet taken, the pending bits zero-padded into a last
-        byte, and the number of pad bits."""
-        pad = (-self._acc_bits) % 8
-        tail = self._acc.to_bytes(1, "little") if self._acc_bits else b""
-        return bytes(self._done) + tail, pad
+        """The pending bits zero-padded into a last byte (b"" if none), and the pad length."""
+        return self._acc.to_bytes((self._acc_bits + 7) >> 3, "little"), (-self._acc_bits) % 8
+
+
+def bit_rows_to_ints(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-D array of 0/1 bits as an int, its first bit least significant."""
+    return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
 def pack_values(values, width: int) -> tuple[bytes, int]:
     """Pack equal-width values into bytes; returns (data, pad_bits)."""
     w = BitWriter()
-    for v in values:
-        w.write_bits(v, width)
-    return w.getvalue()
+    data = b"".join(w.write_bits(v, width) for v in values)
+    tail, pad = w.getvalue()
+    return data + tail, pad
 
 
 def unpack_values(data: bytes, width: int, count: int) -> list[int]:
-    """Read count width-bit values back out of packed bytes."""
+    """Read count width-bit values back out of packed bytes, as rows of one peek."""
+    if width < 1:
+        raise ValueError("width must be positive")
     r = BitReader(data)
-    out = []
-    for _ in range(count):
-        v = r.read_bits(width)
-        if v is None:
-            raise ValueError("packed data too short")
-        out.append(v)
-    return out
+    if not r.fill(width * count):
+        raise ValueError("packed data too short")
+    return bit_rows_to_ints(r.peek(0, width * count).reshape(count, width))

@@ -45,6 +45,15 @@ EXIT_RATE = 4
 EXIT_IO = 5
 EXIT_VERIFY = 6
 
+# Exit code per error type, matched in order: ValueError subclasses first.
+EXIT_CODES = (
+    (UnsupportedRateError, EXIT_RATE),
+    (CapacityError, EXIT_CAPACITY),
+    (VerificationError, EXIT_VERIFY),
+    ((OSError, TruncatedSourceError), EXIT_IO),
+    ((ValueError, TypeError), EXIT_USAGE),
+)
+
 WORKERS_HELP = ("must be >= 1; has no effect, blocks run in order on one thread "
                 "(parallel lanes are a hardware figure, see `bench cost`)")
 
@@ -112,10 +121,16 @@ def _open_sources(x_path: str, y_path: str):
 def _extract(args, extract, plan, **options) -> int:
     """Run `extract` over the --x/--y sources into --out and emit its report.
 
-    A run that fails after it started still emits the report it made
-    (stop_reason = interrupted) before the error propagates.
+    An --out or --report naming a source is refused before anything is
+    opened for writing; a run that fails after it started still emits its
+    report (stop_reason = interrupted) before the error propagates.
     """
     with _open_sources(args.x, args.y) as (fx, fy):
+        for flag, path in (("--out", args.out), ("--report", args.report)):
+            for source_flag, source in (("--x", args.x), ("--y", args.y)):
+                if (path and source != "-" and os.path.exists(path)
+                        and os.path.samefile(path, source)):
+                    raise ValueError(f"{flag} {path} is the same file as {source_flag} {source}")
         run = extract(fx, fy, plan, workers=args.workers, **options)
         try:
             with open(args.out, "wb") as out:
@@ -387,21 +402,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedRateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RATE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (OSError, TruncatedSourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for types, code in EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ GF(2) bit-matrix product, and each block is reduced once, at the end (see
 arrays (:class:`_Workspace`) that it keeps until the block width changes,
 so its memory is bounded by _BATCH_BUDGET and not by the input length, and
 a long run allocates nothing large after its first batch.  Iteration only
-yields chunks: :meth:`Extraction.run` alone packs them into bytes, writing
-each chunk's as it is made.  :func:`ext_ip` stays as the independent scalar
-reference; the two share only the shipped modulus table.
+yields chunks: :meth:`Extraction.run` alone packs them, writing the bytes
+each chunk completes as soon as it is made.  :func:`ext_ip` stays as the
+independent scalar reference; the two share only the shipped modulus table.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._moduli import modulus_int
-from .bitio import BitReader, BitWriter
+from .bitio import BitReader, BitWriter, bit_rows_to_ints
 from .gf2q import GFContext, MAX_FIELD_BITS
 from .params import EqPlan, NeqPlan, error_bound_eq, error_bound_neq
 from .report import ExtractionReport
@@ -239,14 +239,11 @@ class Extraction:
                     self._workspace = ws = None  # free the old arrays first
                     self._workspace = ws = _Workspace(want, width, n)
                 bits = _inner_products(ws, self._x, self._y, ready, n)
-                nbytes = (width + 7) // 8
-                packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
-                for i in range(ready):
+                for value in bit_rows_to_ints(bits):
                     self._x.advance(window)
                     self._y.advance(window)
                     self._blocks_done += 1
                     self._output_bits += width
-                    value = int.from_bytes(packed[i * nbytes:(i + 1) * nbytes], "little")
                     yield OutputChunk(self._blocks_done, value, width)
             if ready < want:
                 # A block-by-block read would have asked both streams for the
@@ -323,10 +320,8 @@ class Extraction:
         writer = BitWriter()
         with contextlib.closing(iter(self)) as chunks:
             for chunk in chunks:
-                if sink is not None:
-                    writer.write_bits(chunk.bits, chunk.width)
-                    if data := writer.take():
-                        sink.write(data)
+                if sink is not None and (data := writer.write_bits(chunk.bits, chunk.width)):
+                    sink.write(data)
         if sink is None:
             return self.report
         try:

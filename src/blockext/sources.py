@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, TruncatedSourceError, UncertifiableError
+from .params import _validate_sample_bits
 
 PROB_SUM_TOL = 2.0 ** -30
 
@@ -39,7 +40,8 @@ class SourceModel:
 
     Use the factory functions (:func:`iid_biased`, :func:`iid_table`,
     :func:`markov`, :func:`file_source`, :func:`joint_table`) rather than
-    constructing directly; they validate their parameters.
+    constructing directly; they validate their parameters.  Every model
+    refuses a sample width b outside 1..64.
     """
 
     kind: str
@@ -49,12 +51,20 @@ class SourceModel:
     table: np.ndarray | None = None
     path: str | None = None
 
+    def __post_init__(self):
+        _validate_sample_bits(self.bits_per_sample)
+
 
 @dataclass(frozen=True)
 class MinEntropyCertificate:
     rate: float             # certified min-entropy bits per sample bit
     method: str             # "analytic" | "exhaustive"
     worst_guess_prob: float  # the conditional point mass that binds the rate
+
+
+def _outcomes(bits_per_sample: int) -> int:
+    _validate_sample_bits(bits_per_sample)  # before 2^b sizes anything
+    return 1 << bits_per_sample
 
 
 def _check_distribution(probs: np.ndarray, what: str) -> np.ndarray:
@@ -76,7 +86,7 @@ def iid_biased(p: float, seed: int = 0) -> SourceModel:
 def iid_table(probs: Sequence[float], bits_per_sample: int, seed: int = 0) -> SourceModel:
     """i.i.d. b-bit samples drawn from an explicit probability table."""
     probs = _check_distribution(np.asarray(probs), "probability table")
-    if probs.shape != (1 << bits_per_sample,):
+    if probs.shape != (_outcomes(bits_per_sample),):
         raise ValueError(
             f"table length {probs.shape} does not match 2^{bits_per_sample} outcomes"
         )
@@ -86,7 +96,7 @@ def iid_table(probs: Sequence[float], bits_per_sample: int, seed: int = 0) -> So
 def markov(transitions, bits_per_sample: int, seed: int = 0) -> SourceModel:
     """Order-1 chain over b-bit states; the first sample is uniform."""
     t = np.asarray(transitions, dtype=np.float64)
-    size = 1 << bits_per_sample
+    size = _outcomes(bits_per_sample)
     if t.shape != (size, size):
         raise ValueError(f"transition table must be {size}x{size}, got {t.shape}")
     for row in range(size):
@@ -106,7 +116,7 @@ def joint_table(probs, bits_per_sample: int) -> SourceModel:
     m samples.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    size = 1 << bits_per_sample
+    size = _outcomes(bits_per_sample)
     if probs.ndim < 1 or any(s != size for s in probs.shape):
         raise ValueError(f"joint table axes must all have length {size}")
     _check_distribution(probs, "joint table")
@@ -254,13 +264,13 @@ def parse_model(config: dict) -> SourceModel:
     if kind == "iid-table":
         return iid_table(need("probs"), b, seed=seed)
     if kind == "uniform":
-        return iid_table(np.full(1 << b, 1.0 / (1 << b)), b, seed=seed)
+        return iid_table(np.full(_outcomes(b), 2.0 ** -b), b, seed=seed)
     if kind == "markov":
         return markov(need("transitions"), b, seed=seed)
     if kind == "file":
         return file_source(str(need("path")), b)
     if kind == "joint":
-        size = 1 << b
+        size = _outcomes(b)
         probs = np.asarray(need("probs"), dtype=np.float64)
         m = int(round(math.log(probs.size, size)))
         return joint_table(probs.reshape((size,) * m), b)

@@ -103,22 +103,32 @@ def test_reader_peek_consumes_nothing_until_advance():
 @given(st.lists(st.tuples(st.integers(1, 200), st.integers(0, 2**200)), max_size=30))
 def test_writer_hands_out_whole_bytes_as_they_complete(writes):
     w = BitWriter()
-    taken = b""
+    handed_out = b""
     expected, total = 0, 0
     for nbits, value in writes:
         value &= (1 << nbits) - 1
-        w.write_bits(value, nbits)
-        taken += w.take()
+        handed_out += w.write_bits(value, nbits)
         expected |= value << total
         total += nbits
-        assert w.bit_length == total and len(taken) == total // 8
+        assert len(handed_out) == total // 8
     rest, pad = w.getvalue()
     assert pad == (-total) % 8
-    assert taken + rest == expected.to_bytes((total + 7) // 8, "little")
+    assert handed_out + rest == expected.to_bytes((total + 7) // 8, "little")
 
 
-@given(st.lists(st.integers(0, 2**11 - 1), min_size=0, max_size=40))
-def test_pack_unpack_round_trip(values):
-    data, pad = pack_values(values, 11)
-    assert len(data) * 8 == 11 * len(values) + pad
-    assert unpack_values(data, 11, len(values)) == values
+@given(st.data(), st.integers(1, 128))
+def test_pack_unpack_round_trip(data, width):
+    values = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=0, max_size=40))
+    packed, pad = pack_values(values, width)
+    assert len(packed) * 8 == width * len(values) + pad
+    assert unpack_values(packed, width, len(values)) == values
+
+
+@pytest.mark.parametrize("width, count", [(1, 1), (7, 3), (8, 2), (11, 5), (128, 2)])
+def test_unpack_refuses_short_data_and_zero_width(width, count):
+    packed, _ = pack_values([(1 << width) - 1] * count, width)
+    assert unpack_values(packed, width, count) == [(1 << width) - 1] * count
+    with pytest.raises(ValueError, match="packed data too short"):
+        unpack_values(packed[:-1], width, count)
+    with pytest.raises(ValueError):
+        unpack_values(packed, 0, count)

@@ -9,6 +9,15 @@ import pytest
 
 from blockext import cli
 from blockext.cli import main
+from blockext.errors import (
+    CapacityError,
+    DivergenceError,
+    InfeasibleError,
+    TruncatedSourceError,
+    UncertifiableError,
+    UnsupportedRateError,
+    VerificationError,
+)
 from blockext.params import plan_eq
 from blockext.report import ExtractionReport, parse_document, plan_from_text
 from tests.test_bitio import NotReadyIO
@@ -233,6 +242,25 @@ def test_extract_refuses_self_pairing(tmp_path, capsys, flags):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("target", [("--out", "x"), ("--out", "y"), ("--report", "x")],
+                         ids=["out-x", "out-y", "report-x"])
+@pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
+def test_extract_refuses_to_write_over_an_input(tmp_path, capsys, flags, target):
+    inputs = {"x": bytes(range(256)) * 8, "y": bytes(range(255, -1, -1)) * 8}
+    paths = {name: tmp_path / f"{name}.bin" for name in inputs}
+    for name, data in inputs.items():
+        paths[name].write_bytes(data)
+    flag, name = target
+    outputs = {"--out": str(tmp_path / "z.bin"), "--report": str(tmp_path / "r.txt"),
+               flag: str(paths[name])}
+    assert run_cli(*flags, "--x", str(paths["x"]), "--y", str(paths["y"]),
+                   *(arg for item in outputs.items() for arg in item)) == 2
+    err = capsys.readouterr().err
+    assert flag in err and f"--{name}" in err
+    for name, data in inputs.items():
+        assert paths[name].read_bytes() == data
+
+
 @pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
 def test_extract_rejects_zero_workers(tmp_path, capsys, flags):
     x, y = tmp_path / "x.bin", tmp_path / "y.bin"
@@ -292,6 +320,29 @@ def test_simulate_malformed_config_is_usage_error(tmp_path, capsys, config, mess
     out = tmp_path / "out.bin"
     assert run_cli("simulate", "--config", str(cfg), "--count", "64", "--out", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "uniform", "b": 0},
+    {"kind": "uniform", "b": -1},
+    {"kind": "uniform", "b": 65},
+    {"kind": "iid-table", "b": 0, "probs": [1.0]},
+    {"kind": "markov", "b": 0, "transitions": [[1.0]]},
+    {"kind": "joint", "b": 0, "probs": [1.0]},
+    {"kind": "file", "b": 0},
+    {"kind": "file", "b": 99},
+], ids=["uniform-0", "uniform-neg", "uniform-65", "iid-table-0", "markov-0", "joint-0",
+        "file-0", "file-99"])
+def test_simulate_sample_width_outside_1_to_64_is_usage_error(tmp_path, capsys, config):
+    raw = tmp_path / "raw.bin"
+    raw.write_bytes(bytes(range(256)) * 4)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**config, "path": str(raw)} if config["kind"] == "file"
+                              else config))
+    out = tmp_path / "out.bin"
+    assert run_cli("simulate", "--config", str(cfg), "--count", "64", "--out", str(out)) == 2
+    assert "bits per sample must be in 1..64" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -479,3 +530,34 @@ def test_bench_throughput_document_keys(capsys, mul_ops):
     assert set(fields) == keys | ({"model_block_ops"} if mul_ops else set())
     q = plan_eq(8, 4096, "3/4", "2^-8").field_bits
     assert int(fields["output_bits"]) == int(fields["blocks"]) * q > 0
+
+
+@pytest.mark.parametrize("error, code", [
+    (UnsupportedRateError, 4),
+    (CapacityError, 3),
+    (VerificationError, 6),
+    (OSError, 5),
+    (BlockingIOError, 5),
+    (TruncatedSourceError, 5),
+    (DivergenceError, 2),
+    (InfeasibleError, 2),
+    (UncertifiableError, 2),
+    (ValueError, 2),
+    (TypeError, 2),
+])
+def test_command_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
+    def failing_command(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", failing_command)
+    assert run_cli("verify") == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_other_command_errors_propagate(monkeypatch):
+    def failing_command(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", failing_command)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_cli("verify")

@@ -132,6 +132,19 @@ def test_validation_errors():
         generate(iid_biased(0.5), 0)
 
 
+@pytest.mark.parametrize("b", [0, -1, 65, 99])
+def test_factories_refuse_a_sample_width_outside_1_to_64(tmp_path, b):
+    factories = [
+        lambda: iid_table([1.0], b),
+        lambda: markov([[1.0]], b),
+        lambda: joint_table([1.0], b),
+        lambda: file_source(str(tmp_path / "raw.bin"), b),
+    ]
+    for factory in factories:
+        with pytest.raises(ValueError, match="bits per sample must be in 1..64"):
+            factory()
+
+
 def test_file_source_round_trip(tmp_path):
     path = tmp_path / "raw.bin"
     payload = bytes(range(64))
