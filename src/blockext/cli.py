@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -100,37 +101,34 @@ def cmd_params(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _open_sources(x_path: str, y_path: str):
-    """The two input streams: distinct files, at most one standard input ('-')."""
-    if x_path == "-" and y_path == "-":
-        raise ValueError(
-            "the two sources must be physically independent streams; "
-            "at most one may be standard input"
-        )
-    if "-" not in (x_path, y_path) and os.path.samefile(x_path, y_path):
-        raise ValueError(
-            "the two sources must be physically independent streams; "
-            f"{x_path} and {y_path} are the same file"
-        )
-    with contextlib.ExitStack() as stack:
-        yield [sys.stdin.buffer if path == "-" else stack.enter_context(open(path, "rb"))
-               for path in (x_path, y_path)]
+def _refuse_same_files(*named: tuple[str, str | None]) -> None:
+    """Refuse two (flag, path) pairs that name one file, skipping None and '-'.
+
+    By os.path.samefile (hard links) if both exist, else by resolved path.
+    """
+    named = [(flag, path) for flag, path in named if path and path != "-"]
+    for (flag_a, a), (flag_b, b) in itertools.combinations(named, 2):
+        if (os.path.samefile(a, b) if os.path.exists(a) and os.path.exists(b)
+                else os.path.realpath(a) == os.path.realpath(b)):
+            raise ValueError(f"{flag_a} {a} and {flag_b} {b} are the same file")
 
 
 def _extract(args, extract, plan, **options) -> int:
     """Run `extract` over the --x/--y sources into --out and emit its report.
 
-    An --out or --report naming a source is refused before anything is
-    opened for writing; a run that fails after it started still emits its
-    report (stop_reason = interrupted) before the error propagates.
+    At most one source may be standard input, and no two of --x, --y, --out
+    and --report may name one file, checked before anything is opened; a
+    run that fails after it started still emits its report (stop_reason =
+    interrupted) before the error propagates.
     """
-    with _open_sources(args.x, args.y) as (fx, fy):
-        for flag, path in (("--out", args.out), ("--report", args.report)):
-            for source_flag, source in (("--x", args.x), ("--y", args.y)):
-                if (path and source != "-" and os.path.exists(path)
-                        and os.path.samefile(path, source)):
-                    raise ValueError(f"{flag} {path} is the same file as {source_flag} {source}")
+    if args.x == args.y == "-":
+        raise ValueError("the two sources must be physically independent streams; "
+                         "at most one may be standard input")
+    _refuse_same_files(("--x", args.x), ("--y", args.y), ("--out", args.out),
+                       ("--report", args.report))
+    with contextlib.ExitStack() as stack:
+        fx, fy = (sys.stdin.buffer if path == "-" else stack.enter_context(open(path, "rb"))
+                  for path in (args.x, args.y))
         run = extract(fx, fy, plan, workers=args.workers, **options)
         try:
             with open(args.out, "wb") as out:
@@ -161,6 +159,8 @@ def cmd_simulate(args) -> int:
         model = sources_mod.parse_model(json.load(fh))
     if args.seed is not None:
         model = dataclasses.replace(model, seed=args.seed)
+    _refuse_same_files(("--config", args.config), ("--config path", model.path),
+                       ("--out", args.out), ("--report", args.report))
     count = parse_count(args.count)
     data = sources_mod.generate(model, count)
     with open(args.out, "wb") as fh:

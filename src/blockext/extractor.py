@@ -23,8 +23,9 @@ arrays (:class:`_Workspace`) that it keeps until the block width changes,
 so its memory is bounded by _BATCH_BUDGET and not by the input length, and
 a long run allocates nothing large after its first batch.  Iteration only
 yields chunks: :meth:`Extraction.run` alone packs them, writing the bytes
-each chunk completes as soon as it is made.  :func:`ext_ip` stays as the
-independent scalar reference; the two share only the shipped modulus table.
+each chunk completes as soon as it is made; both run in one session, which
+reports once, however the run ends.  :func:`ext_ip` stays as the independent
+scalar reference; the two share only the shipped modulus table.
 """
 
 from __future__ import annotations
@@ -164,8 +165,7 @@ class Extraction:
     """One streaming extraction run: iterate for chunks, then read `.report`.
 
     Single-use: the input streams are consumed as iteration proceeds.  The
-    report is available once iteration finishes (normally or via an early
-    stop condition).
+    report is available once the run ends, however it ends.
     """
 
     def __init__(self, x_stream, y_stream, plan: EqPlan | NeqPlan, *,
@@ -202,15 +202,20 @@ class Extraction:
         self.report: ExtractionReport | None = None
 
     def __iter__(self) -> Iterator[OutputChunk]:
+        with self._session():
+            yield from self._chunks()
+
+    @contextlib.contextmanager
+    def _session(self) -> Iterator[None]:
+        """The one run, reported once: ``interrupted`` if it ends by an exception."""
         if self._started:
             raise RuntimeError("an Extraction is single-use; create a new one")
         self._started = True
         t0 = time.perf_counter()
         try:
-            yield from self._chunks()
+            yield
         except BaseException:
-            # The consumer closed the iterator (run() does if a write fails),
-            # or a read or the caller failed, before the schedule ended.
+            # A closed iterator, or a failed read, write or flush.
             self._stop_reason = "interrupted"
             raise
         finally:
@@ -318,24 +323,18 @@ class Extraction:
         or flush that fails ends the run as ``interrupted``, with no pad.
         """
         writer = BitWriter()
-        with contextlib.closing(iter(self)) as chunks:
-            for chunk in chunks:
+        with self._session():
+            for chunk in self._chunks():
                 if sink is not None and (data := writer.write_bits(chunk.bits, chunk.width)):
                     sink.write(data)
-        if sink is None:
-            return self.report
-        try:
-            data, pad = writer.getvalue()
-            if data:
-                sink.write(data)
-            if hasattr(sink, "flush"):
-                sink.flush()
-        except BaseException:
-            # The chunks all came, so the report says completed: remake it.
-            self._stop_reason = "interrupted"
-            self._finalize(self.report.wall_time_s)
-            raise
-        self.report.pad_bits = pad
+            if sink is not None:
+                data, pad = writer.getvalue()
+                if data:
+                    sink.write(data)
+                if hasattr(sink, "flush"):
+                    sink.flush()
+        if sink is not None:
+            self.report.pad_bits = pad
         return self.report
 
 

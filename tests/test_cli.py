@@ -1,8 +1,15 @@
 """Command-line behavior: formats, round trips, exit codes."""
 
+import io
 import json
 import os
+import random
+import signal
+import subprocess
 import sys
+import threading
+from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +25,7 @@ from blockext.errors import (
     UnsupportedRateError,
     VerificationError,
 )
+from blockext.extractor import extract_eq, extract_neq
 from blockext.params import plan_eq
 from blockext.report import ExtractionReport, parse_document, plan_from_text
 from tests.test_bitio import NotReadyIO
@@ -261,6 +269,64 @@ def test_extract_refuses_to_write_over_an_input(tmp_path, capsys, flags, target)
         assert paths[name].read_bytes() == data
 
 
+@pytest.mark.parametrize("spelling", ["same", "dot-slash", "hard-link"])
+@pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
+def test_extract_refuses_one_file_for_out_and_report(tmp_path, monkeypatch, capsys, flags,
+                                                     spelling):
+    monkeypatch.chdir(tmp_path)
+    Path("x.bin").write_bytes(bytes(range(256)) * 8)
+    Path("y.bin").write_bytes(bytes(range(255, -1, -1)) * 8)
+    out = "z.bin"
+    report = {"same": "z.bin", "dot-slash": "./z.bin", "hard-link": "r.txt"}[spelling]
+    if spelling == "hard-link":
+        Path(out).write_bytes(b"older output")
+        os.link(out, report)
+    assert run_cli(*flags, "--x", "x.bin", "--y", "y.bin", "--out", out,
+                   "--report", report) == 2
+    err = capsys.readouterr().err
+    assert "same file" in err and "--out" in err and "--report" in err
+    if spelling == "hard-link":
+        assert Path(out).read_bytes() == b"older output"
+    else:
+        assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
+def test_sigint_leaves_a_prefix_and_an_interrupted_report(tmp_path, flags):
+    rnd = random.Random(23)
+    xb, yb = rnd.randbytes(200_000), rnd.randbytes(1 << 18)
+    y, out, report = tmp_path / "y.bin", tmp_path / "z.bin", tmp_path / "r.txt"
+    y.write_bytes(yb)
+    # Neither run can end by itself while standard input stays open.
+    length = ("--N", "2^30") if flags is EQ_FLAGS else ("--growth", "0")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "blockext.cli", *flags, *length, "--x", "-", "--y", str(y),
+            "--out", str(out), "--report", str(report)]
+    # Python raises KeyboardInterrupt on SIGINT only if it did not start with SIGINT ignored.
+    restore_sigint = partial(signal.signal, signal.SIGINT, signal.SIG_DFL)
+    with subprocess.Popen(argv, stdin=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+                          preexec_fn=restore_sigint) as child:
+        # More than a pipe buffer: the write returns only once the run is reading.
+        feeder = threading.Thread(target=lambda: (child.stdin.write(xb), child.stdin.flush()))
+        try:
+            feeder.start()
+            feeder.join(timeout=60)
+            assert not feeder.is_alive()
+            child.send_signal(signal.SIGINT)
+            assert child.wait(timeout=60) in (-signal.SIGINT, 130)
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+            feeder.join(timeout=60)
+    rep = ExtractionReport.from_text(report.read_text())
+    assert rep.stop_reason == "interrupted" and rep.pad_bits is None
+    whole = io.BytesIO()
+    (extract_eq if flags is EQ_FLAGS else extract_neq)(xb, yb, rep.plan).run(whole)
+    written = out.read_bytes()
+    assert whole.getvalue().startswith(written)
+    assert 8 * len(written) <= rep.output_bits
+
+
 @pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
 def test_extract_rejects_zero_workers(tmp_path, capsys, flags):
     x, y = tmp_path / "x.bin", tmp_path / "y.bin"
@@ -353,6 +419,28 @@ def test_simulate_truncated_file_is_io_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"kind": "file", "b": 8, "path": str(raw)}))
     assert run_cli("simulate", "--config", str(cfg), "--count", "64",
                    "--out", str(tmp_path / "copy.bin")) == 5
+
+
+@pytest.mark.parametrize("case", ["out-raw", "out-report", "out-config"])
+def test_simulate_refuses_to_write_over_an_input_or_its_output(tmp_path, monkeypatch, capsys,
+                                                               case):
+    monkeypatch.chdir(tmp_path)
+    raw = Path("raw.bin")
+    raw.write_bytes(bytes(range(256)) * 16)
+    cfg = Path("u.json")
+    cfg.write_text(json.dumps({"kind": "file", "b": 8, "path": "raw.bin"} if case == "out-raw"
+                              else {"kind": "uniform", "b": 8, "seed": 7}))
+    inputs = {path: path.read_bytes() for path in (raw, cfg)}
+    flags, argv = {
+        "out-raw": (("--config path", "--out"), ("--out", "raw.bin")),
+        "out-report": (("--out", "--report"), ("--out", "s.bin", "--report", "s.bin")),
+        "out-config": (("--config", "--out"), ("--out", "u.json")),
+    }[case]
+    assert run_cli("simulate", "--config", "u.json", "--count", "100", *argv) == 2
+    err = capsys.readouterr().err
+    assert "same file" in err and all(flag in err for flag in flags)
+    assert {path: path.read_bytes() for path in inputs} == inputs
+    assert not Path("s.bin").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

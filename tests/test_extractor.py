@@ -452,6 +452,47 @@ def test_a_fault_anywhere_leaves_a_prefix_and_an_interrupted_report(data):
         assert sum(c.width for c in again) == rep.output_bits
 
 
+@pytest.mark.parametrize("ending", ["iterate", "close-mid-batch", "run-no-sink", "run-sink",
+                                    "write-fails", "flush-fails"])
+@pytest.mark.parametrize("mode", ["eq", "neq"])
+def test_a_run_is_finalized_exactly_once(monkeypatch, mode, ending):
+    calls = []
+    finalize = extractor.Extraction._finalize
+
+    def counting(self, wall):
+        calls.append(wall)
+        finalize(self, wall)
+
+    monkeypatch.setattr(extractor.Extraction, "_finalize", counting)
+    rnd = random.Random(22)
+    xb, yb = rnd.randbytes(400), rnd.randbytes(400)
+    # One batch of 12-bit blocks in both modes (33 eq, 5 neq), with 4 pad bits.
+    if mode == "eq":
+        run = extract_eq(xb, yb, tiny_eq_plan(8, 300, "3/4", 6, 12))
+    else:
+        run = extract_neq(xb, yb, plan_neq(4, "3/4", 12, 0))
+    if ending == "iterate":
+        list(run)
+    elif ending == "close-mid-batch":
+        chunks = iter(run)
+        next(chunks), next(chunks)
+        chunks.close()
+    elif ending == "run-no-sink":
+        run.run()
+    elif ending == "run-sink":
+        assert run.run(io.BytesIO()).pad_bits == 4
+    elif ending == "write-fails":
+        with pytest.raises(BrokenPipeError):
+            run.run(FailingSink(2))
+    else:
+        with pytest.raises(InjectedFault):
+            run.run(FaultySink(fail_flush=True))
+        rep = run.report
+        assert rep.stop_reason == "interrupted" and rep.pad_bits is None
+        assert rep.x_discarded_tail_bits == rep.y_discarded_tail_bits == 0
+    assert len(calls) == 1
+
+
 def test_sink_receives_bytes_while_blocks_remain():
     rnd = random.Random(17)
     plan = tiny_eq_plan(16, 16384, "10.74/16", 71, 80)   # 46 blocks
