@@ -102,11 +102,13 @@ def cmd_params(args) -> int:
 
 
 def _refuse_same_files(*named: tuple[str, str | None]) -> None:
-    """Refuse two (flag, path) pairs that name one file, skipping None and '-'.
+    """Refuse two (flag, path) pairs that name one file, skipping None.
 
-    By os.path.samefile (hard links) if both exist, else by resolved path.
+    Every path is a literal file name: a caller that reads '-' as standard
+    input leaves that flag out.  By os.path.samefile (hard links) if both
+    exist, else by resolved path.
     """
-    named = [(flag, path) for flag, path in named if path and path != "-"]
+    named = [(flag, path) for flag, path in named if path]
     for (flag_a, a), (flag_b, b) in itertools.combinations(named, 2):
         if (os.path.samefile(a, b) if os.path.exists(a) and os.path.exists(b)
                 else os.path.realpath(a) == os.path.realpath(b)):
@@ -124,8 +126,8 @@ def _extract(args, extract, plan, **options) -> int:
     if args.x == args.y == "-":
         raise ValueError("the two sources must be physically independent streams; "
                          "at most one may be standard input")
-    _refuse_same_files(("--x", args.x), ("--y", args.y), ("--out", args.out),
-                       ("--report", args.report))
+    sources = [(flag, path) for flag, path in (("--x", args.x), ("--y", args.y)) if path != "-"]
+    _refuse_same_files(*sources, ("--out", args.out), ("--report", args.report))
     with contextlib.ExitStack() as stack:
         fx, fy = (sys.stdin.buffer if path == "-" else stack.enter_context(open(path, "rb"))
                   for path in (args.x, args.y))
@@ -145,7 +147,8 @@ def cmd_extract_eq(args) -> int:
         if "-" in (args.x, args.y):
             raise ValueError("--N or --N-bits is required when reading standard input")
         default_bits = 8 * min(os.path.getsize(args.x), os.path.getsize(args.y))
-    return _extract(args, extract_eq, _eq_plan_from_args(args, default_bits))
+    return _extract(args, extract_eq, _eq_plan_from_args(args, default_bits),
+                    max_blocks=args.max_blocks)
 
 
 def cmd_extract_neq(args) -> int:
@@ -340,6 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="second source file")
     p.add_argument("--out", required=True, help="output file (packed bits)")
     _add_eq_plan_flags(p, need_n=False)
+    p.add_argument("--max-blocks", type=int, default=None,
+                   help="stop after this many blocks (>= 1), before the planned end")
     p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--report", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_extract_eq)

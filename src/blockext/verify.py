@@ -23,8 +23,28 @@ t = 8 by default.  "counts" histograms the exact value distribution of
 <d, y> over all y for every nonzero difference d and reduces the pair sums
 to those histograms; the reduction uses only the XOR-linearity of the inner
 product and of the first-bit functionals, identities that the test suite
-property-checks independently.  Within a method every reported quantity is
-computed by literal enumeration.
+property-checks independently.
+
+Three identities make the oracles fast; each keeps its result exact and
+equal to literal enumeration, and each has a guard:
+
+  * Gram blocking (direct).  The Gram matrix is formed in row blocks of at
+    most 2^18 multiply-adds each, below OpenBLAS's threading threshold, in
+    float32.  Guard: exact, because every entry and partial sum is an
+    integer of magnitude at most 2^t <= 2^12 < 2^24.
+  * Per-digit Walsh product (counts, n >= 2).  The histogram of
+    <d, y> = XOR_i d_i * y_i is the XOR-convolution of the per-digit
+    histograms h_{d_i}, so it is the inverse Walsh transform of the product
+    of their transforms.  A counting fact, using no field property.  Guard:
+    each h_d for d != 0 is the bincount of a literal n = 1 table row, and
+    h_0 is the point mass 2^q at 0 (0 * y = 0), never a table row, so a
+    wrong product in any nonzero-digit row shows in the difference (d, 0).
+    n = 1 stays literal.
+  * Linearity in y (one-bit bias, q < k).  f_a(x, .) is GF(2)-linear in y,
+    so a pair's spectrum is a sum of 2^q * 2^k lookups in the Walsh
+    transform of the y support instead of a 4^k-cell histogram.  Guard: the
+    table is first checked, over all 4^t cells, to equal the XOR-span of its
+    unit columns; a table that is not takes the literal path.
 
 Every inner-product table is assembled from window tables: for each digit
 of the multiplier and each window of at most 8 of its bits, the products of
@@ -50,6 +70,8 @@ MAX_HADAMARD_BITS = 16
 MAX_DENSE_BITS = 12       # full 2^t x 2^t inner-product tables
 DIRECT_METHOD_BITS = 8
 _ROW_CHUNK = 512
+_LOOKUP_BATCH = 1 << 16   # one-bit bias: table entries per batch of support pairs
+_GRAM_BLOCK_OPS = 1 << 18  # multiply-adds per Gram product; OpenBLAS threads above this
 EXHAUSTIVE_LIMIT = 10**5  # one-bit bias: enumerate supports up to this many
 SAMPLED_PAIRS = 200       # one-bit bias: seeded support pairs tested otherwise
 
@@ -182,17 +204,24 @@ def check_hadamard(ctx: GFContext, n: int, method: str = "auto") -> bool:
 
 
 def _hadamard_direct(ctx: GFContext, n: int) -> bool:
-    """Literal check: Gram matrix of every f_a's +/-1 row matrix."""
+    """Literal check: Gram matrix of every f_a's +/-1 row matrix.
+
+    The Gram matrix is formed in row blocks of `step` rows, each product at
+    most _GRAM_BLOCK_OPS multiply-adds.  float32 is exact here: every entry
+    and partial sum is an integer of magnitude at most 2^t <= 2^12.
+    """
     size = 1 << (ctx.q * n)
     z = ip_value_table(ctx, n)
     brow = first_bit_rows(ctx)
     parity = _parity_table(ctx.q)
-    identity = np.int64(size) * np.eye(size, dtype=np.int64)
+    step = max(1, min(size, _GRAM_BLOCK_OPS // (size * size)))
+    identity = (np.float32(size) * np.eye(size, dtype=np.float32)).reshape(
+        size // step, step, size)
     for a in range(1, 1 << ctx.q):
         fa = parity[a & brow][z]                       # 0/1 truth table of f_a
-        signs = (1 - 2 * fa.astype(np.int32)).astype(np.float64)
-        gram = signs @ signs.T
-        if not np.array_equal(gram.astype(np.int64), identity):
+        signs = (1 - 2 * fa.astype(np.int32)).astype(np.float32)
+        gram = np.matmul(signs.reshape(size // step, step, size), signs.T)
+        if not np.array_equal(gram, identity):
             return False
     return True
 
@@ -217,7 +246,9 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
     counts_d is the uniform 2^(t-q) histogram the sums factor through the
     functional balances, which are checked exactly once via a Walsh
     transform; any non-uniform row falls back to an exact per-a Walsh
-    evaluation of its sums.
+    evaluation of its sums.  For n = 1 the histograms are literal bincounts
+    of the inner-product rows; for n >= 2 they come from the per-digit
+    Walsh product (:func:`_product_counts`).
     """
     q = ctx.q
     t = q * n
@@ -228,14 +259,18 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
     balances = walsh_transform(hist)
     balances_ok = not np.any(balances[1:])
 
+    spectra = _digit_spectra(ctx) if n > 1 else None
     expected = 1 << (t - q)
     ds = np.arange(1, 1 << t, dtype=np.int64)
     for start in range(0, len(ds), _ROW_CHUNK):
         chunk = ds[start:start + _ROW_CHUNK]
-        z = _ip_rows(ctx, n, chunk)
-        counts = np.empty((len(chunk), 1 << q), dtype=np.int64)
-        for row in range(len(chunk)):
-            counts[row] = np.bincount(z[row], minlength=1 << q)
+        if spectra is None:
+            z = _ip_rows(ctx, n, chunk)
+            counts = np.empty((len(chunk), 1 << q), dtype=np.int64)
+            for row in range(len(chunk)):
+                counts[row] = np.bincount(z[row], minlength=1 << q)
+        else:
+            counts = _product_counts(spectra, chunk, q, n)
         uniform = np.all(counts == expected, axis=1)
         if uniform.all():
             if not balances_ok:
@@ -252,6 +287,35 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
             if np.any(sums[1:]):
                 return False
     return True
+
+
+def _digit_spectra(ctx: GFContext) -> np.ndarray:
+    """spec[d] = Walsh transform of h_d, h_d[u] = #{y : d * y = u} over q-bit y.
+
+    h_d for nonzero d is the bincount of a literal n = 1 inner-product row;
+    h_0 is the point mass 2^q at 0 (0 * y = 0), not a table row.
+    """
+    q = ctx.q
+    z = _ip_rows(ctx, 1, np.arange(1, 1 << q))
+    offsets = np.arange(1, 1 << q, dtype=np.int64)[:, None] << q
+    hist = np.bincount((z + offsets).ravel(), minlength=1 << (2 * q)).reshape(1 << q, 1 << q)
+    hist[0, 0] = 1 << q
+    return walsh_transform(hist)
+
+
+def _product_counts(spectra: np.ndarray, d_values: np.ndarray, q: int, n: int) -> np.ndarray:
+    """counts[r, v] = #{y : <d_values[r], y> = v}, by the per-digit Walsh product.
+
+    The value histogram of <d, y> = XOR_i d_i * y_i over all y is the
+    XOR-convolution of the per-digit histograms h_{d_i}, so its Walsh
+    transform is the pointwise product of their transforms; transforming
+    back and dividing by 2^q recovers the exact integer counts.
+    """
+    mask = (1 << q) - 1
+    product = spectra[d_values & mask]
+    for i in range(1, n):
+        product = product * spectra[(d_values >> (i * q)) & mask]
+    return walsh_transform(product) >> q
 
 
 # ---------- one-bit bias over flat sources ----------
@@ -278,6 +342,12 @@ def check_one_bit_bias(ctx: GFContext, n: int, k: int, *, seed: int = 0) -> Bias
     are enumerated when there are at most EXHAUSTIVE_LIMIT of them and at
     most that many support pairs; otherwise SAMPLED_PAIRS seeded random
     pairs are tested and the report says so.
+
+    Each pair's spectrum is the Walsh transform of its grouped histogram
+    (4^k cells), or, when q < k and the table is GF(2)-linear in y, a sum
+    of 2^k lookups per a in the Walsh transform of the y support, for a
+    batch of pairs at a time (:func:`_y_functionals`,
+    :func:`_linear_spectra`).  Both give the same integers.
     """
     t = _feasible(ctx, n, MAX_DENSE_BITS, "one-bit bias check")
     if not 0 <= k <= t:
@@ -287,32 +357,81 @@ def check_one_bit_bias(ctx: GFContext, n: int, k: int, *, seed: int = 0) -> Bias
     z = ip_value_table(ctx, n)
     brow = first_bit_rows(ctx)
     w_of_z = brow[z]  # map each (x, y) cell straight to its functional group
+    functionals = _y_functionals(w_of_z, ctx.q) if ctx.q < k else None
 
-    n_subsets = math.comb(size, support)
-    exhaustive = n_subsets <= EXHAUSTIVE_LIMIT and n_subsets**2 <= EXHAUSTIVE_LIMIT
-    if exhaustive:
-        subsets = [np.fromiter(c, dtype=np.int64) for c in combinations(range(size), support)]
-        pairs = [(sx, sy) for sx in subsets for sy in subsets]
-    else:
-        rng = np.random.default_rng(seed)
-        pairs = [
-            (
-                rng.choice(size, size=support, replace=False).astype(np.int64),
-                rng.choice(size, size=support, replace=False).astype(np.int64),
-            )
-            for _ in range(SAMPLED_PAIRS)
-        ]
+    x_sets, y_sets, exhaustive = _support_pairs(size, support, seed)
 
     denom = float(support) * float(support)
     max_bias = 0.0
-    for sx, sy in pairs:
-        grouped = np.bincount(w_of_z[np.ix_(sx, sy)].ravel(), minlength=1 << ctx.q)
-        spectrum = walsh_transform(grouped)
-        # spectrum[a] = sum over support pairs of (-1)^f_a; bias = |spectrum|/4^k
-        bias = float(np.abs(spectrum[1:]).max()) / denom
-        max_bias = max(max_bias, bias)
+    if functionals is None:
+        for sx, sy in zip(x_sets, y_sets):
+            grouped = np.bincount(w_of_z[np.ix_(sx, sy)].ravel(), minlength=1 << ctx.q)
+            spectrum = walsh_transform(grouped)
+            # spectrum[a] = sum over support pairs of (-1)^f_a; bias = |spectrum|/4^k
+            bias = float(np.abs(spectrum[1:]).max()) / denom
+            max_bias = max(max_bias, bias)
+    else:
+        step = max(1, _LOOKUP_BATCH // max(size, support << ctx.q))
+        for start in range(0, len(x_sets), step):
+            spectra = _linear_spectra(functionals, x_sets[start:start + step],
+                                      y_sets[start:start + step])
+            max_bias = max(max_bias, float(np.abs(spectra[:, 1:]).max()) / denom)
     bound = 2.0 ** (1.0 - (2 * k - t) / 2.0)
-    return BiasReport(t, k, max_bias, bound, len(pairs), exhaustive)
+    return BiasReport(t, k, max_bias, bound, len(x_sets), exhaustive)
+
+
+def _support_pairs(size: int, support: int, seed: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The (x, y) support pairs of the bias check, as two (pairs, support) arrays.
+
+    Every pair of size-`support` subsets of range(size) when there are few
+    enough; otherwise SAMPLED_PAIRS seeded random pairs, x drawn before y.
+    """
+    n_subsets = math.comb(size, support)
+    exhaustive = n_subsets <= EXHAUSTIVE_LIMIT and n_subsets**2 <= EXHAUSTIVE_LIMIT
+    if exhaustive:
+        subsets = np.array(list(combinations(range(size), support)), dtype=np.int64)
+        return (np.repeat(subsets, n_subsets, axis=0), np.tile(subsets, (n_subsets, 1)),
+                True)
+    rng = np.random.default_rng(seed)
+    drawn = np.array([rng.choice(size, size=support, replace=False)
+                      for _ in range(2 * SAMPLED_PAIRS)], dtype=np.int64)
+    return drawn[0::2], drawn[1::2], False
+
+
+def _y_functionals(w: np.ndarray, q: int) -> np.ndarray | None:
+    """L[a, x] with parity(a & w[x, y]) = parity(y & L[a, x]) for every y.
+
+    Bit j of L[a, x] is parity(a & w[x, 2^j]).  The identity needs w[x, .]
+    to be GF(2)-linear in y, so it is checked first, over all 4^t cells:
+    column y + 2^j must equal column y XOR column 2^j for every y < 2^j
+    (j = 0 forces column 0 to be zero).  A table that fails gets None.
+    """
+    size = w.shape[1]
+    t = size.bit_length() - 1
+    for j in range(t):
+        unit = 1 << j
+        if not np.array_equal(w[:, unit:2 * unit], w[:, :unit] ^ w[:, unit:unit + 1]):
+            return None
+    parity = _parity_table(q)
+    a = np.arange(1 << q, dtype=w.dtype)[:, None]
+    functionals = np.zeros((1 << q, w.shape[0]), dtype=np.int64)
+    for j in range(t):
+        functionals |= parity[a & w[:, 1 << j]].astype(np.int64) << j
+    return functionals
+
+
+def _linear_spectra(functionals: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """spectra[p, a] = sum over sx[p] x sy[p] of (-1)^parity(a & w[x, y]).
+
+    By linearity in y, the sum over y in sy[p] of (-1)^parity(y & L[a, x])
+    is the Walsh transform of the indicator of sy[p] at L[a, x]: 2^q * 2^k
+    lookups per pair in place of 4^k cells.  sx and sy are (pairs, 2^k).
+    """
+    rows = np.arange(len(sy))[:, None]
+    indicator = np.zeros((len(sy), functionals.shape[1]), dtype=np.int64)
+    indicator[rows, sy] = 1
+    walsh = walsh_transform(indicator)
+    return walsh[rows[:, :, None], functionals[:, sx].swapaxes(0, 1)].sum(axis=-1)
 
 
 # ---------- exact output distance ----------

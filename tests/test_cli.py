@@ -351,6 +351,48 @@ def test_extract_neq_rejects_nonpositive_max_blocks(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
+def test_extract_refuses_dash_for_both_out_and_report(tmp_path, monkeypatch, capsys, flags):
+    # Only --x and --y read '-' as standard input; as --out and --report it
+    # is one file named '-', which the report would overwrite.
+    monkeypatch.chdir(tmp_path)
+    Path("x.bin").write_bytes(bytes(range(256)) * 8)
+    Path("y.bin").write_bytes(bytes(range(255, -1, -1)) * 8)
+    assert run_cli(*flags, "--x", "x.bin", "--y", "y.bin", "--out", "-", "--report", "-") == 2
+    err = capsys.readouterr().err
+    assert "same file" in err and "--out" in err and "--report" in err
+    assert not Path("-").exists()
+
+
+def test_extract_eq_max_blocks_gives_a_prefix_of_the_whole_run(tmp_path, capsys):
+    rnd = random.Random(41)
+    x, y = tmp_path / "x.bin", tmp_path / "y.bin"
+    x.write_bytes(rnd.randbytes(4096))
+    y.write_bytes(rnd.randbytes(4096))
+    whole, capped = tmp_path / "whole.bin", tmp_path / "capped.bin"
+    assert run_cli(*EQ_FLAGS, "--x", str(x), "--y", str(y), "--out", str(whole)) == 0
+    full = ExtractionReport.from_text(capsys.readouterr().out)
+    assert full.stop_reason == "completed" and full.blocks_completed == 42
+    assert run_cli(*EQ_FLAGS, "--x", str(x), "--y", str(y), "--out", str(capped),
+                   "--max-blocks", "8") == 0
+    rep = ExtractionReport.from_text(capsys.readouterr().out)
+    assert rep.stop_reason == "block-limit" and rep.blocks_completed == 8
+    assert rep.output_bits == 8 * rep.plan.field_bits == 8 * len(capped.read_bytes())
+    assert whole.read_bytes().startswith(capped.read_bytes())
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_extract_eq_rejects_nonpositive_max_blocks(tmp_path, capsys, value):
+    x, y = tmp_path / "x.bin", tmp_path / "y.bin"
+    x.write_bytes(bytes(1024))
+    y.write_bytes(bytes(1024))
+    out = tmp_path / "z.bin"
+    assert run_cli(*EQ_FLAGS, "--x", str(x), "--y", str(y), "--out", str(out),
+                   "--max-blocks", value) == 2
+    assert "max_blocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_file_model_uncertifiable(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes(64))

@@ -31,7 +31,17 @@ from blockext.verify import (
     walsh_transform,
     xor_lemma_sides,
 )
-from blockext.verify import _parity_table, _window_table
+from blockext.verify import (
+    BiasReport,
+    _digit_spectra,
+    _ip_rows,
+    _linear_spectra,
+    _parity_table,
+    _product_counts,
+    _support_pairs,
+    _window_table,
+    _y_functionals,
+)
 
 
 def _vec(value, q, n):
@@ -209,6 +219,44 @@ def test_oracles_reject_corrupted_tables(monkeypatch):
         assert not check_first_bit_bijection(ctx)
 
 
+def test_walsh_product_counts_match_bincount():
+    # Every n >= 2 instance with t <= 12: the per-digit Walsh product gives
+    # exactly the literal value histogram of every inner-product row.
+    for q, n in hadamard_instances(12):
+        if n < 2:
+            continue
+        ctx = field(q)
+        ds = np.arange(1, 1 << (q * n), dtype=np.int64)
+        spectra = _digit_spectra(ctx)
+        for start in range(0, len(ds), 512):
+            chunk = ds[start:start + 512]
+            z = _ip_rows(ctx, n, chunk).astype(np.int64)
+            offsets = np.arange(len(chunk), dtype=np.int64)[:, None] << q
+            literal = np.bincount((z + offsets).ravel(),
+                                  minlength=len(chunk) << q).reshape(len(chunk), 1 << q)
+            assert np.array_equal(_product_counts(spectra, chunk, q, n), literal), (q, n)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_counts_fail_on_any_flipped_bit_of_a_digit_table_row(monkeypatch, q):
+    # The n >= 2 counts method reads the n = 1 table rows of the nonzero
+    # digits; one flipped product bit anywhere in them must fail the check.
+    ctx = field(q)
+    real_ip_rows = verify_mod._ip_rows
+    assert check_hadamard(ctx, 2, method="counts")
+    for d in range(1, 1 << q):
+        for y in range(1 << q):
+            for bit in range(q):
+                def flipped(ctx, n, d_values, d=d, y=y, bit=bit):
+                    z = real_ip_rows(ctx, n, d_values).copy()
+                    assert n == 1 and d_values[d - 1] == d
+                    z[d - 1, y] ^= 1 << bit
+                    return z
+
+                monkeypatch.setattr(verify_mod, "_ip_rows", flipped)
+                assert not check_hadamard(ctx, 2, method="counts"), (d, y, bit)
+
+
 # ---------- one-bit bias ----------
 
 def test_bias_full_entropy_equals_zero_block_artifact():
@@ -248,6 +296,54 @@ def test_bias_validation():
         check_one_bit_bias(field(13), 1, 4)
     with pytest.raises(ValueError):
         check_one_bit_bias(field(2), 2, 5)
+
+
+def test_linear_bias_spectra_match_grouped_walsh():
+    # Every pair of every instance with t <= 8, at every k: the spectrum from
+    # linearity in y equals the literal grouped-histogram Walsh spectrum.
+    for q, n in hadamard_instances(8):
+        ctx = field(q)
+        t = q * n
+        w = first_bit_rows(ctx)[ip_value_table(ctx, n)]
+        functionals = _y_functionals(w, q)
+        assert functionals is not None
+        for k in range(t + 1):
+            x_sets, y_sets, _ = _support_pairs(1 << t, 1 << k, seed=t + k)
+            step = max(1, (1 << 16) >> max(t, 2 * k))
+            for start in range(0, len(x_sets), step):
+                sx, sy = x_sets[start:start + step], y_sets[start:start + step]
+                cells = w[sx[:, :, None], sy[:, None, :]].reshape(len(sx), -1).astype(np.int64)
+                cells += np.arange(len(sx), dtype=np.int64)[:, None] << q
+                grouped = np.bincount(cells.ravel(), minlength=len(sx) << q)
+                literal = walsh_transform(grouped.reshape(len(sx), 1 << q))
+                assert np.array_equal(_linear_spectra(functionals, sx, sy), literal), (q, n, k)
+
+
+@pytest.mark.parametrize("case", ["cell", "column"])
+def test_bias_on_a_table_not_linear_in_y_takes_the_literal_path(monkeypatch, case):
+    # q = 2 < k, so a linear table would take the linear path.  The bent
+    # cells lie off the unit columns, which alone feed that path, so only
+    # literal enumeration sees them; the pinned reports are the literal ones.
+    ctx = field(2)
+    k, seed, clean_bias, bent_bias, pairs, exhaustive = {
+        "cell": (6, 0, 1 / 64, 33 / 2048, 1, True),
+        "column": (4, 7, 3 / 16, 25 / 128, 200, False),
+    }[case]
+    real_table = verify_mod.ip_value_table
+
+    def bent_table(ctx, n):
+        z = real_table(ctx, n).copy()
+        if case == "cell":
+            z[5, 3] ^= 1
+        else:
+            z[:, 3] ^= 1
+        return z
+
+    assert check_one_bit_bias(ctx, 3, k, seed=seed).max_bias == clean_bias
+    monkeypatch.setattr(verify_mod, "ip_value_table", bent_table)
+    assert _y_functionals(first_bit_rows(ctx)[bent_table(ctx, 3)], 2) is None
+    rep = check_one_bit_bias(ctx, 3, k, seed=seed)
+    assert rep == BiasReport(6, k, bent_bias, 2.0 ** (1 - (2 * k - 6) / 2), pairs, exhaustive)
 
 
 # ---------- output distance ----------
