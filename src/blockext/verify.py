@@ -25,7 +25,7 @@ to those histograms; the reduction uses only the XOR-linearity of the inner
 product and of the first-bit functionals, identities that the test suite
 property-checks independently.
 
-Three identities make the oracles fast; each keeps its result exact and
+Five identities make the oracles fast; each keeps its result exact and
 equal to literal enumeration, and each has a guard:
 
   * Gram blocking (direct).  The Gram matrix is formed in row blocks of at
@@ -39,12 +39,25 @@ equal to literal enumeration, and each has a guard:
     each h_d for d != 0 is the bincount of a literal n = 1 table row, and
     h_0 is the point mass 2^q at 0 (0 * y = 0), never a table row, so a
     wrong product in any nonzero-digit row shows in the difference (d, 0).
-    n = 1 stays literal.
+  * Trivial kernel (counts, n = 1).  A row y -> d * y that is GF(2)-linear
+    in y is a permutation of the field, so its histogram is all ones,
+    exactly when its kernel is trivial (d * y != 0 for y != 0) and its unit
+    columns lie in range(2^q).  Guard: each chunk of rows is first checked
+    to be linear in y over every cell; a chunk that is not, or that holds a
+    row with a nontrivial kernel, takes the literal bincount loop.
   * Linearity in y (one-bit bias, q < k).  f_a(x, .) is GF(2)-linear in y,
     so a pair's spectrum is a sum of 2^q * 2^k lookups in the Walsh
     transform of the y support instead of a 4^k-cell histogram.  Guard: the
     table is first checked, over all 4^t cells, to equal the XOR-span of its
     unit columns; a table that is not takes the literal path.
+  * Discrete-log convolution (one-bit bias, n = 1).  With g a generator of
+    the multiplicative group, log(x * y) = log x + log y mod 2^q - 1, so the
+    histogram of x * y over a support pair is the cyclic convolution of the
+    two log indicators, plus the zero cell in closed form; it is taken by
+    FFT for a batch of pairs and rounded.  Guard: g is read off the table
+    and every cell is checked against exp[log x + log y] (row 0 and column 0
+    zero); a table that fails, q = 1, or a convolution value 1/4 or more
+    from an integer takes the literal path.
 
 Every inner-product table is assembled from window tables: for each digit
 of the multiplier and each window of at most 8 of its bits, the products of
@@ -56,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from typing import Sequence
 
@@ -118,16 +131,18 @@ def walsh_transform(rows: np.ndarray) -> np.ndarray:
 
     out[..., a] = sum_w rows[..., w] * (-1)^popcount(a & w).
     """
-    a = np.array(rows, dtype=np.int64, copy=True)
+    a = np.array(rows, dtype=np.int64, order="C")  # a C-contiguous copy: reshape is a view
     n = a.shape[-1]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
     h = 1
     while h < n:
+        # In place on a view of the fresh copy: (lo, hi) -> (lo + hi, lo - hi).
         b = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        top = b[..., 0, :] + b[..., 1, :]
-        bot = b[..., 0, :] - b[..., 1, :]
-        a = np.concatenate((top[..., None, :], bot[..., None, :]), axis=-2).reshape(a.shape)
+        lo, hi = b[..., 0, :], b[..., 1, :]
+        lo += hi
+        hi *= -2
+        hi += lo
         h *= 2
     return a
 
@@ -246,9 +261,11 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
     counts_d is the uniform 2^(t-q) histogram the sums factor through the
     functional balances, which are checked exactly once via a Walsh
     transform; any non-uniform row falls back to an exact per-a Walsh
-    evaluation of its sums.  For n = 1 the histograms are literal bincounts
-    of the inner-product rows; for n >= 2 they come from the per-digit
-    Walsh product (:func:`_product_counts`).
+    evaluation of its sums.  For n = 1 a chunk of rows that are linear in y
+    with trivial kernels is uniform (:func:`_permutation_rows`), and any
+    other chunk takes literal bincounts of the inner-product rows; for
+    n >= 2 the histograms come from the per-digit Walsh product
+    (:func:`_product_counts`).
     """
     q = ctx.q
     t = q * n
@@ -266,6 +283,12 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
         chunk = ds[start:start + _ROW_CHUNK]
         if spectra is None:
             z = _ip_rows(ctx, n, chunk)
+            permutations = _permutation_rows(z)
+            if permutations is not None and permutations.all():
+                # Every row's histogram is all ones: the uniform branch below.
+                if not balances_ok:
+                    return False
+                continue
             counts = np.empty((len(chunk), 1 << q), dtype=np.int64)
             for row in range(len(chunk)):
                 counts[row] = np.bincount(z[row], minlength=1 << q)
@@ -287,6 +310,34 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
             if np.any(sums[1:]):
                 return False
     return True
+
+
+def _linear_in_y(w: np.ndarray) -> bool:
+    """Whether every row of w is GF(2)-linear in the column index y.
+
+    Checked over every cell: column y + 2^j must equal column y XOR column
+    2^j for every y < 2^j (j = 0 forces column 0 to be zero).
+    """
+    size = w.shape[1]
+    for j in range(size.bit_length() - 1):
+        unit = 1 << j
+        if not np.array_equal(w[:, unit:2 * unit], w[:, :unit] ^ w[:, unit:unit + 1]):
+            return False
+    return True
+
+
+def _permutation_rows(z: np.ndarray) -> np.ndarray | None:
+    """perm[r]: row z[r] takes every value in range(2^q) once, z being (rows, 2^q).
+
+    None when z is not GF(2)-linear in y.  A linear row whose unit columns
+    lie in range(2^q) maps into it, and is a bijection exactly when its
+    kernel is trivial: z[r, y] != 0 for every y != 0.
+    """
+    if not _linear_in_y(z):
+        return None
+    size = z.shape[1]
+    units = 1 << np.arange(size.bit_length() - 1)
+    return (z[:, 1:].min(axis=1) != 0) & np.all(z[:, units] < size, axis=1)
 
 
 def _digit_spectra(ctx: GFContext) -> np.ndarray:
@@ -344,10 +395,13 @@ def check_one_bit_bias(ctx: GFContext, n: int, k: int, *, seed: int = 0) -> Bias
     pairs are tested and the report says so.
 
     Each pair's spectrum is the Walsh transform of its grouped histogram
-    (4^k cells), or, when q < k and the table is GF(2)-linear in y, a sum
-    of 2^k lookups per a in the Walsh transform of the y support, for a
-    batch of pairs at a time (:func:`_y_functionals`,
-    :func:`_linear_spectra`).  Both give the same integers.
+    (4^k cells).  For a batch of pairs at a time it comes instead, when
+    n = 1 and the table passes the discrete-log guard, from a cyclic
+    convolution of log indicators (:func:`_log_tables`,
+    :func:`_log_spectra`), or, when q < k and the table is GF(2)-linear in
+    y, from 2^k lookups per a in the Walsh transform of the y support
+    (:func:`_y_functionals`, :func:`_linear_spectra`).  All give the same
+    integers.
     """
     t = _feasible(ctx, n, MAX_DENSE_BITS, "one-bit bias check")
     if not 0 <= k <= t:
@@ -356,26 +410,40 @@ def check_one_bit_bias(ctx: GFContext, n: int, k: int, *, seed: int = 0) -> Bias
     support = 1 << k
     z = ip_value_table(ctx, n)
     brow = first_bit_rows(ctx)
-    w_of_z = brow[z]  # map each (x, y) cell straight to its functional group
-    functionals = _y_functionals(w_of_z, ctx.q) if ctx.q < k else None
 
     x_sets, y_sets, exhaustive = _support_pairs(size, support, seed)
 
+    batched = None
+    if n == 1:
+        logs = _log_tables(z)
+        if logs is not None:
+            batched = partial(_log_spectra, logs, brow)
+            step = max(1, _LOOKUP_BATCH >> ctx.q)
+    elif ctx.q < k:
+        functionals = _y_functionals(brow[z], ctx.q)
+        if functionals is not None:
+            batched = partial(_linear_spectra, functionals)
+            step = max(1, _LOOKUP_BATCH // max(size, support << ctx.q))
+
     denom = float(support) * float(support)
-    max_bias = 0.0
-    if functionals is None:
+    max_bias = None
+    if batched is not None:
+        max_bias = 0.0
+        for start in range(0, len(x_sets), step):
+            spectra = batched(x_sets[start:start + step], y_sets[start:start + step])
+            if spectra is None:   # a convolution that did not round: enumerate
+                max_bias = None
+                break
+            max_bias = max(max_bias, float(np.abs(spectra[:, 1:]).max()) / denom)
+    if max_bias is None:
+        max_bias = 0.0
+        w_of_z = brow[z]  # map each (x, y) cell straight to its functional group
         for sx, sy in zip(x_sets, y_sets):
             grouped = np.bincount(w_of_z[np.ix_(sx, sy)].ravel(), minlength=1 << ctx.q)
             spectrum = walsh_transform(grouped)
             # spectrum[a] = sum over support pairs of (-1)^f_a; bias = |spectrum|/4^k
             bias = float(np.abs(spectrum[1:]).max()) / denom
             max_bias = max(max_bias, bias)
-    else:
-        step = max(1, _LOOKUP_BATCH // max(size, support << ctx.q))
-        for start in range(0, len(x_sets), step):
-            spectra = _linear_spectra(functionals, x_sets[start:start + step],
-                                      y_sets[start:start + step])
-            max_bias = max(max_bias, float(np.abs(spectra[:, 1:]).max()) / denom)
     bound = 2.0 ** (1.0 - (2 * k - t) / 2.0)
     return BiasReport(t, k, max_bias, bound, len(x_sets), exhaustive)
 
@@ -402,16 +470,12 @@ def _y_functionals(w: np.ndarray, q: int) -> np.ndarray | None:
     """L[a, x] with parity(a & w[x, y]) = parity(y & L[a, x]) for every y.
 
     Bit j of L[a, x] is parity(a & w[x, 2^j]).  The identity needs w[x, .]
-    to be GF(2)-linear in y, so it is checked first, over all 4^t cells:
-    column y + 2^j must equal column y XOR column 2^j for every y < 2^j
-    (j = 0 forces column 0 to be zero).  A table that fails gets None.
+    to be GF(2)-linear in y, so it is checked first, over all 4^t cells
+    (:func:`_linear_in_y`).  A table that fails gets None.
     """
-    size = w.shape[1]
-    t = size.bit_length() - 1
-    for j in range(t):
-        unit = 1 << j
-        if not np.array_equal(w[:, unit:2 * unit], w[:, :unit] ^ w[:, unit:unit + 1]):
-            return None
+    if not _linear_in_y(w):
+        return None
+    t = w.shape[1].bit_length() - 1
     parity = _parity_table(q)
     a = np.arange(1 << q, dtype=w.dtype)[:, None]
     functionals = np.zeros((1 << q, w.shape[0]), dtype=np.int64)
@@ -432,6 +496,80 @@ def _linear_spectra(functionals: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> 
     indicator[rows, sy] = 1
     walsh = walsh_transform(indicator)
     return walsh[rows[:, :, None], functionals[:, sx].swapaxes(0, 1)].sum(axis=-1)
+
+
+def _log_tables(z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(exp, log) with exp[i] = g^i, log[exp[i]] = i, for z[x, y] = x * y (n = 1).
+
+    A generator g is read off the table: its powers, taken through row
+    z[g], must hit all 2^q - 1 nonzero elements.  The table is then checked
+    over every cell: row 0 and column 0 are zero, and z[x, y] =
+    exp[(log x + log y) mod (2^q - 1)], in row blocks of at most _ROW_CHUNK
+    rows.  log[0] is 2^q - 1, one past every power.  None when no g is
+    found (always at q = 1, where g = 1 is the only candidate) or a cell
+    differs.
+    """
+    size = z.shape[0]
+    order = size - 1
+    if z[0].any() or z[:, 0].any():
+        return None
+    for g in range(2, size):
+        row, powers, seen = z[g].tolist(), [1], {1}
+        while len(powers) < order:
+            power = row[powers[-1]]
+            if not 0 < power < size or power in seen:
+                break
+            seen.add(power)
+            powers.append(power)
+        if len(powers) == order:
+            break
+    else:
+        return None
+    exp = np.array(powers, dtype=np.int64)
+    log = np.empty(size, dtype=np.int64)
+    log[exp] = np.arange(order)
+    log[0] = order
+    exp_twice = np.concatenate((exp, exp))   # exp_twice[i + j] = exp[(i + j) mod order]
+    for start in range(1, size, _ROW_CHUNK):
+        rows = log[start:start + _ROW_CHUNK, None]
+        if not np.array_equal(z[start:start + _ROW_CHUNK, 1:], exp_twice[rows + log[1:]]):
+            return None
+    return exp, log
+
+
+def _log_spectra(logs: tuple[np.ndarray, np.ndarray], brow: np.ndarray,
+                 sx: np.ndarray, sy: np.ndarray) -> np.ndarray | None:
+    """spectra[p, a] = sum over sx[p] x sy[p] of (-1)^parity(a & brow[x * y]), n = 1.
+
+    For nonzero x and y, log(x * y) = log x + log y mod 2^q - 1, so the
+    histogram of the nonzero products is the cyclic convolution of the log
+    indicators of sx[p] and sy[p], taken by FFT and rounded; the zero cell
+    counts the rest of the 4^k pairs.  The counts are grouped by brow and
+    Walsh transformed.  None when a convolution value lies 1/4 or more from
+    an integer: the exact values are counts of at most 2^12 over at most
+    4095 terms, far inside float64's rounding.
+    """
+    exp, log = logs
+    order = len(exp)
+    q = order.bit_length()
+    rows = np.arange(len(sx))[:, None]
+    indicators = []
+    for support in (sx, sy):
+        indicator = np.zeros((len(sx), order + 1))   # column `order` marks a support holding 0
+        indicator[rows, log[support]] = 1.0
+        indicators.append(indicator)
+    conv = np.fft.irfft(np.fft.rfft(indicators[0][:, :order]) *
+                        np.fft.rfft(indicators[1][:, :order]), n=order)
+    counts = np.rint(conv)
+    if np.any(np.abs(conv - counts) >= 0.25):
+        return None
+    nonzero = [sx.shape[1] - indicator[:, order] for indicator in indicators]
+    zero_cell = sx.shape[1] * sy.shape[1] - nonzero[0] * nonzero[1]
+    keys = brow[exp][None, :] + (rows << q)
+    grouped = np.bincount(keys.ravel(), weights=counts.ravel(), minlength=len(sx) << q)
+    grouped = grouped.reshape(len(sx), 1 << q)
+    grouped[:, brow[0]] += zero_cell
+    return walsh_transform(grouped.astype(np.int64))
 
 
 # ---------- exact output distance ----------

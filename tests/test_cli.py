@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import select
 import signal
 import subprocess
 import sys
@@ -325,6 +326,42 @@ def test_sigint_leaves_a_prefix_and_an_interrupted_report(tmp_path, flags):
     written = out.read_bytes()
     assert whole.getvalue().startswith(written)
     assert 8 * len(written) <= rep.output_bits
+
+
+def test_closed_output_pipe_leaves_a_prefix_and_an_interrupted_report(tmp_path):
+    # `extract-eq ... --out /dev/stdout | head -c 100`.  The complete output
+    # is more than twice a 64 KiB pipe buffer, so the run is still writing
+    # when the reader closes the pipe.
+    rnd = random.Random(29)
+    xb, yb = rnd.randbytes(1 << 22), rnd.randbytes(1 << 22)
+    x, y, report = tmp_path / "x.bin", tmp_path / "y.bin", tmp_path / "r.txt"
+    x.write_bytes(xb)
+    y.write_bytes(yb)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "blockext.cli", "extract-eq", "--b", "8", "--delta", "31/32",
+            "--epsilon", "2^-8", "--x", str(x), "--y", str(y), "--out", "/dev/stdout",
+            "--report", str(report)]
+    head = b""
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          env=env) as child:
+        try:
+            while len(head) < 100:
+                ready, _, _ = select.select([child.stdout], [], [], 60)
+                assert ready, "no output within 60 s"
+                data = os.read(child.stdout.fileno(), 100 - len(head))
+                assert data, "output ended before 100 bytes"
+                head += data
+            child.stdout.close()
+            assert child.wait(timeout=60) == 5
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+    rep = ExtractionReport.from_text(report.read_text())
+    assert rep.stop_reason == "interrupted" and rep.pad_bits is None
+    whole = io.BytesIO()
+    extract_eq(xb, yb, rep.plan).run(whole)
+    assert len(whole.getvalue()) > 2 * 65536
+    assert whole.getvalue().startswith(head)
 
 
 @pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])

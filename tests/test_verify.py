@@ -36,7 +36,10 @@ from blockext.verify import (
     _digit_spectra,
     _ip_rows,
     _linear_spectra,
+    _log_spectra,
+    _log_tables,
     _parity_table,
+    _permutation_rows,
     _product_counts,
     _support_pairs,
     _window_table,
@@ -257,6 +260,42 @@ def test_counts_fail_on_any_flipped_bit_of_a_digit_table_row(monkeypatch, q):
                 assert not check_hadamard(ctx, 2, method="counts"), (d, y, bit)
 
 
+def test_kernel_verdict_matches_bincount_per_row():
+    # Every n = 1 row for q <= 12, and two linear variants of each: one with
+    # the low output bit dropped (a nontrivial kernel) and one with it copied
+    # to bit q (injective, but leaving range(2^q)).  A table not linear in y
+    # gets no verdict.
+    for q in range(1, 13):
+        z = _ip_rows(field(q), 1, np.arange(1, 1 << q)).astype(np.int64)
+        for table in (z, z & ~1, z ^ ((z & 1) << q)):
+            literal = [np.all(np.bincount(row) == 1) for row in table]
+            assert np.array_equal(_permutation_rows(table), literal), q
+        bent = z.copy()
+        bent[-1, 0] ^= 1
+        assert _permutation_rows(bent) is None
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_counts_fail_on_any_flipped_bit_of_an_n1_table_row(monkeypatch, q):
+    # The n = 1 counts method accepts a chunk of rows as permutations only
+    # after checking it is linear in y; one flipped product bit anywhere must
+    # fail the check.
+    ctx = field(q)
+    real_ip_rows = verify_mod._ip_rows
+    assert check_hadamard(ctx, 1, method="counts")
+    for d in range(1, 1 << q):
+        for y in range(1 << q):
+            for bit in range(q):
+                def flipped(ctx, n, d_values, d=d, y=y, bit=bit):
+                    z = real_ip_rows(ctx, n, d_values).copy()
+                    assert n == 1 and d_values[d - 1] == d
+                    z[d - 1, y] ^= 1 << bit
+                    return z
+
+                monkeypatch.setattr(verify_mod, "_ip_rows", flipped)
+                assert not check_hadamard(ctx, 1, method="counts"), (d, y, bit)
+
+
 # ---------- one-bit bias ----------
 
 def test_bias_full_entropy_equals_zero_block_artifact():
@@ -344,6 +383,69 @@ def test_bias_on_a_table_not_linear_in_y_takes_the_literal_path(monkeypatch, cas
     assert _y_functionals(first_bit_rows(ctx)[bent_table(ctx, 3)], 2) is None
     rep = check_one_bit_bias(ctx, 3, k, seed=seed)
     assert rep == BiasReport(6, k, bent_bias, 2.0 ** (1 - (2 * k - 6) / 2), pairs, exhaustive)
+
+
+def test_log_bias_spectra_match_grouped_walsh():
+    # Every pair of every n = 1 instance with q <= 10, at every k of the CLI
+    # and acceptance k sets and their seeds: the discrete-log convolution
+    # gives the literal grouped-histogram Walsh spectrum.  Supports with and
+    # without 0 occur on both sides.
+    zero_cases = set()
+    for q in range(1, 11):
+        ctx = field(q)
+        z = ip_value_table(ctx, 1)
+        logs = _log_tables(z)
+        assert (logs is None) == (q == 1)
+        if logs is None:
+            continue
+        brow = first_bit_rows(ctx)
+        w = brow[z]
+        for k in sorted({q, q - 1, max(1, (3 * q) // 4), max(1, q // 2)}):
+            for seed in (0, 1000 + q):
+                x_sets, y_sets, _ = _support_pairs(1 << q, 1 << k, seed)
+                step = max(1, (1 << 16) >> max(q, 2 * k))
+                for start in range(0, len(x_sets), step):
+                    sx, sy = x_sets[start:start + step], y_sets[start:start + step]
+                    cells = w[sx[:, :, None], sy[:, None, :]].reshape(len(sx), -1)
+                    cells = cells.astype(np.int64) + (np.arange(len(sx))[:, None] << q)
+                    grouped = np.bincount(cells.ravel(), minlength=len(sx) << q)
+                    literal = walsh_transform(grouped.reshape(len(sx), 1 << q))
+                    assert np.array_equal(_log_spectra(logs, brow, sx, sy), literal), (q, k)
+                    zero_cases.update(zip((sx == 0).any(axis=1), (sy == 0).any(axis=1)))
+    assert zero_cases == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("case", ["cell", "generator-row", "column-0", "row-0"])
+def test_bias_on_a_bent_n1_table_takes_the_literal_path(monkeypatch, case):
+    # One flipped product bit makes the table fail the discrete-log guard, so
+    # only literal enumeration sees it; the pinned reports are the literal ones.
+    q, k, seed, cell, clean_bias, bent_bias, pairs, exhaustive = {
+        "cell": (3, 2, 0, (5, 3), 5 / 8, 3 / 4, 4900, True),
+        "generator-row": (3, 2, 0, (2, 1), 5 / 8, 3 / 4, 4900, True),
+        "column-0": (4, 3, 9, (7, 0), 3 / 8, 11 / 32, 200, False),
+        "row-0": (5, 4, 1005, (0, 3), 23 / 128, 11 / 64, 200, False),
+    }[case]
+    ctx = field(q)
+    real_table = verify_mod.ip_value_table
+
+    def bent_table(ctx, n):
+        z = real_table(ctx, n).copy()
+        z[cell] ^= 1
+        return z
+
+    assert _log_tables(real_table(ctx, 1)) is not None
+    assert check_one_bit_bias(ctx, 1, k, seed=seed).max_bias == clean_bias
+    monkeypatch.setattr(verify_mod, "ip_value_table", bent_table)
+    assert _log_tables(bent_table(ctx, 1)) is None
+    rep = check_one_bit_bias(ctx, 1, k, seed=seed)
+    assert rep == BiasReport(q, k, bent_bias, 2.0 ** (1 - (2 * k - q) / 2), pairs, exhaustive)
+
+
+def test_bias_takes_the_literal_path_when_the_convolution_does_not_round(monkeypatch):
+    ctx = field(4)
+    clean = check_one_bit_bias(ctx, 1, 3, seed=9)
+    monkeypatch.setattr(verify_mod, "_log_spectra", lambda *args: None)
+    assert check_one_bit_bias(ctx, 1, 3, seed=9) == clean
 
 
 # ---------- output distance ----------
