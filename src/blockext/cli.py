@@ -115,18 +115,36 @@ def _refuse_same_files(*named: tuple[str, str | None]) -> None:
             raise ValueError(f"{flag_a} {a} and {flag_b} {b} are the same file")
 
 
+def _refuse_standard_input_as(stdin_flag: str, flag: str, path: str) -> None:
+    """Refuse `path` when it names the file that standard input reads.
+
+    By os.path.samestat of standard input's descriptor and `path`, so
+    /dev/stdin, /dev/fd/0 and a redirected file all match; skipped when
+    standard input has no usable descriptor or `path` does not exist.
+    """
+    try:
+        stdin = os.fstat(sys.stdin.fileno())
+    except (AttributeError, OSError, ValueError):
+        return
+    if os.path.exists(path) and os.path.samestat(stdin, os.stat(path)):
+        raise ValueError(f"{stdin_flag} - (standard input) and {flag} {path} are the same file")
+
+
 def _extract(args, extract, plan, **options) -> int:
     """Run `extract` over the --x/--y sources into --out and emit its report.
 
-    At most one source may be standard input, and no two of --x, --y, --out
-    and --report may name one file, checked before anything is opened; a
-    run that fails after it started still emits its report (stop_reason =
-    interrupted) before the error propagates.
+    At most one source may be standard input, the other source may not be
+    the file it reads, and no two of --x, --y, --out and --report may name
+    one file, checked before anything is opened; a run that fails after it
+    started still emits its report (stop_reason = interrupted) before the
+    error propagates.
     """
     if args.x == args.y == "-":
         raise ValueError("the two sources must be physically independent streams; "
                          "at most one may be standard input")
     sources = [(flag, path) for flag, path in (("--x", args.x), ("--y", args.y)) if path != "-"]
+    if len(sources) == 1:
+        _refuse_standard_input_as("--x" if args.x == "-" else "--y", *sources[0])
     _refuse_same_files(*sources, ("--out", args.out), ("--report", args.report))
     with contextlib.ExitStack() as stack:
         fx, fy = (sys.stdin.buffer if path == "-" else stack.enter_context(open(path, "rb"))
@@ -199,9 +217,9 @@ def _bias_checks(args):
     cap = min(args.max_bits, verify_mod.MAX_DENSE_BITS)
     for q, n in verify_mod.hadamard_instances(cap):
         t = q * n
-        for k in sorted({t, t - 1, max(1, (3 * t) // 4)}):
-            rep = verify_mod.check_one_bit_bias(field(q), n, k, seed=args.seed)
-            yield (f"bias q={q} n={n} k={k}: max {rep.max_bias:.6g} "
+        ks = sorted({t, t - 1, max(1, (3 * t) // 4)})
+        for rep in verify_mod.bias_reports(field(q), n, ks, seed=args.seed):
+            yield (f"bias q={q} n={n} k={rep.entropy_floor}: max {rep.max_bias:.6g} "
                    f"bound {rep.bound:.6g} pairs {rep.pairs_tested}"
                    f"{' exhaustive' if rep.exhaustive else ''}"), rep.holds
 

@@ -39,12 +39,14 @@ equal to literal enumeration, and each has a guard:
     each h_d for d != 0 is the bincount of a literal n = 1 table row, and
     h_0 is the point mass 2^q at 0 (0 * y = 0), never a table row, so a
     wrong product in any nonzero-digit row shows in the difference (d, 0).
-  * Trivial kernel (counts, n = 1).  A row y -> d * y that is GF(2)-linear
-    in y is a permutation of the field, so its histogram is all ones,
-    exactly when its kernel is trivial (d * y != 0 for y != 0) and its unit
-    columns lie in range(2^q).  Guard: each chunk of rows is first checked
-    to be linear in y over every cell; a chunk that is not, or that holds a
-    row with a nontrivial kernel, takes the literal bincount loop.
+  * Rank (counts, n = 1).  A row y -> d * y that is GF(2)-linear in y,
+    with unit columns in range(2^q), is a permutation of the field, so its
+    histogram is all ones, exactly when its q x q matrix M(d) of unit
+    columns has rank q; one batched GF(2) elimination ranks every M(d).
+    Guard: every window table the rows are built from is first checked to
+    be linear in its column over every cell, so every row is linear in y;
+    a table that is not, a column outside range(2^q), or a short rank
+    sends all rows to the literal bincount loop.
   * Linearity in y (one-bit bias, q < k).  f_a(x, .) is GF(2)-linear in y,
     so a pair's spectrum is a sum of 2^q * 2^k lookups in the Walsh
     transform of the y support instead of a 4^k-cell histogram.  Guard: the
@@ -62,16 +64,18 @@ equal to literal enumeration, and each has a guard:
 Every inner-product table is assembled from window tables: for each digit
 of the multiplier and each window of at most 8 of its bits, the products of
 every field element with every window value, built from per-bit shift
-tables by schoolbook expansion.  No table shares code with the extractor.
+tables by schoolbook expansion, by doubling: the columns of values with top
+bit j are the columns below them XOR shift table j, so each cell is written
+once.  No table shares code with the extractor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -87,6 +91,7 @@ _LOOKUP_BATCH = 1 << 16   # one-bit bias: table entries per batch of support pai
 _GRAM_BLOCK_OPS = 1 << 18  # multiply-adds per Gram product; OpenBLAS threads above this
 EXHAUSTIVE_LIMIT = 10**5  # one-bit bias: enumerate supports up to this many
 SAMPLED_PAIRS = 200       # one-bit bias: seeded support pairs tested otherwise
+_SUPPORT_DRAWS = 32       # one-bit bias: draws kept, all of `verify --suite bias` at t <= 12
 
 
 # ---------- vectorized schoolbook tables ----------
@@ -160,15 +165,22 @@ def _feasible(ctx: GFContext, n: int, cap: int, what: str) -> int:
 def _window_table(ctx: GFContext, base: int, width: int) -> np.ndarray:
     """W[d, u] = d * (u << base) mod modulus, for all q-bit d, width-bit u.
 
-    Columns are assembled from the shift tables per set bit of u: the
+    Column u is the XOR of the shift-table columns of u's set bits: the
     schoolbook expansion of the product over a window of multiplier bits.
+    Built by doubling, so each cell is written once: columns
+    [2^j, 2^(j+1)) are columns [0, 2^j) XOR shift-table column base + j.
     """
     tables = shift_tables(ctx)
-    us = np.arange(1 << width)
-    w = np.zeros((1 << ctx.q, 1 << width), dtype=np.uint16)
+    w = np.empty((1 << ctx.q, 1 << width), dtype=np.uint16)
+    w[:, 0] = 0
     for j in range(width):
-        w[:, ((us >> j) & 1).astype(bool)] ^= tables[base + j][:, None]
+        np.bitwise_xor(w[:, :1 << j], tables[base + j][:, None], out=w[:, 1 << j:2 << j])
     return w
+
+
+def _windows(q: int) -> list[tuple[int, int]]:
+    """(base, width) of each window of at most 8 bits of a q-bit digit."""
+    return [(base, min(8, q - base)) for base in range(0, q, 8)]
 
 
 def _ip_rows(ctx: GFContext, n: int, d_values: np.ndarray) -> np.ndarray:
@@ -179,13 +191,11 @@ def _ip_rows(ctx: GFContext, n: int, d_values: np.ndarray) -> np.ndarray:
     placed on its own axis, and one broadcast XOR chain materializes all rows.
     """
     q = ctx.q
-    window = min(q, 8)
     d_values = np.asarray(d_values, dtype=np.int64)
     rows = len(d_values)
-    axes = [(i, base) for i in range(n) for base in range(0, q, window)]
+    axes = [(i, base, width) for i in range(n) for base, width in _windows(q)]
     acc = None
-    for pos, (i, base) in enumerate(axes):
-        width = min(window, q - base)
+    for pos, (i, base, width) in enumerate(axes):
         di = (d_values >> (i * q)) & ctx.mask
         shape = [rows] + [1] * len(axes)
         shape[len(axes) - pos] = 1 << width
@@ -233,8 +243,7 @@ def _hadamard_direct(ctx: GFContext, n: int) -> bool:
     identity = (np.float32(size) * np.eye(size, dtype=np.float32)).reshape(
         size // step, step, size)
     for a in range(1, 1 << ctx.q):
-        fa = parity[a & brow][z]                       # 0/1 truth table of f_a
-        signs = (1 - 2 * fa.astype(np.int32)).astype(np.float32)
+        signs = (1 - 2 * parity[a & brow].astype(np.float32))[z]   # +/-1 truth table of f_a
         gram = np.matmul(signs.reshape(size // step, step, size), signs.T)
         if not np.array_equal(gram, identity):
             return False
@@ -261,10 +270,10 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
     counts_d is the uniform 2^(t-q) histogram the sums factor through the
     functional balances, which are checked exactly once via a Walsh
     transform; any non-uniform row falls back to an exact per-a Walsh
-    evaluation of its sums.  For n = 1 a chunk of rows that are linear in y
-    with trivial kernels is uniform (:func:`_permutation_rows`), and any
-    other chunk takes literal bincounts of the inner-product rows; for
-    n >= 2 the histograms come from the per-digit Walsh product
+    evaluation of its sums.  For n = 1 every row is uniform when the
+    window tables pass the rank check (:func:`_rank_verdicts`), and
+    otherwise each row takes a literal bincount of its inner-product row;
+    for n >= 2 the histograms come from the per-digit Walsh product
     (:func:`_product_counts`).
     """
     q = ctx.q
@@ -275,6 +284,10 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
     hist = np.bincount(brow, minlength=1 << q)
     balances = walsh_transform(hist)
     balances_ok = not np.any(balances[1:])
+    if n == 1:
+        permutations = _rank_verdicts(ctx)
+        if permutations is not None and permutations.all():
+            return balances_ok   # every row's histogram is all ones
 
     spectra = _digit_spectra(ctx) if n > 1 else None
     expected = 1 << (t - q)
@@ -283,12 +296,6 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
         chunk = ds[start:start + _ROW_CHUNK]
         if spectra is None:
             z = _ip_rows(ctx, n, chunk)
-            permutations = _permutation_rows(z)
-            if permutations is not None and permutations.all():
-                # Every row's histogram is all ones: the uniform branch below.
-                if not balances_ok:
-                    return False
-                continue
             counts = np.empty((len(chunk), 1 << q), dtype=np.int64)
             for row in range(len(chunk)):
                 counts[row] = np.bincount(z[row], minlength=1 << q)
@@ -326,18 +333,41 @@ def _linear_in_y(w: np.ndarray) -> bool:
     return True
 
 
-def _permutation_rows(z: np.ndarray) -> np.ndarray | None:
-    """perm[r]: row z[r] takes every value in range(2^q) once, z being (rows, 2^q).
+def _rank_verdicts(ctx: GFContext) -> np.ndarray | None:
+    """perm[d - 1]: the n = 1 row y -> d * y takes every value in range(2^q) once.
 
-    None when z is not GF(2)-linear in y.  A linear row whose unit columns
-    lie in range(2^q) maps into it, and is a bijection exactly when its
-    kernel is trivial: z[r, y] != 0 for every y != 0.
+    :func:`_ip_rows` builds row d as the XOR of the window tables' rows d,
+    so when every window table is GF(2)-linear in its column (checked over
+    every cell), so is every row, with matrix M(d) made of the tables' unit
+    columns.  Such a row with columns in range(2^q) is a bijection exactly
+    when M(d) has rank q.  None when a window table is not linear.
     """
-    if not _linear_in_y(z):
-        return None
-    size = z.shape[1]
-    units = 1 << np.arange(size.bit_length() - 1)
-    return (z[:, 1:].min(axis=1) != 0) & np.all(z[:, units] < size, axis=1)
+    q = ctx.q
+    columns = []
+    for base, width in _windows(q):
+        w = _window_table(ctx, base, width)
+        if not _linear_in_y(w):
+            return None
+        columns.append(w[1:, 1 << np.arange(width)])
+    m = np.concatenate(columns, axis=1)
+    return np.all(m < 1 << q, axis=1) & (_gf2_ranks(m, q) == q)
+
+
+def _gf2_ranks(columns: np.ndarray, bits: int) -> np.ndarray:
+    """ranks[r] = GF(2) rank of the bit vectors columns[r, :], each below 2^bits.
+
+    One pivot bit per step: a column holding the bit is XORed into every
+    column holding it, itself included, and the pivots found are counted.
+    """
+    cols = columns.astype(np.int64)
+    rows = np.arange(len(cols))
+    ranks = np.zeros(len(cols), dtype=np.int64)
+    for bit in range(bits):
+        holds = (cols >> bit) & 1
+        pivot = cols[rows, holds.argmax(axis=1)]   # any column, when none holds the bit
+        cols ^= holds * pivot[:, None]
+        ranks += holds.any(axis=1)
+    return ranks
 
 
 def _digit_spectra(ctx: GFContext) -> np.ndarray:
@@ -392,78 +422,92 @@ def check_one_bit_bias(ctx: GFContext, n: int, k: int, *, seed: int = 0) -> Bias
     the min-entropy polytope, so they witness the worst bias.  All supports
     are enumerated when there are at most EXHAUSTIVE_LIMIT of them and at
     most that many support pairs; otherwise SAMPLED_PAIRS seeded random
-    pairs are tested and the report says so.
+    pairs are tested and the report says so.  The one report of
+    :func:`bias_reports` for k.
+    """
+    return next(bias_reports(ctx, n, (k,), seed=seed))
 
-    Each pair's spectrum is the Walsh transform of its grouped histogram
-    (4^k cells).  For a batch of pairs at a time it comes instead, when
-    n = 1 and the table passes the discrete-log guard, from a cyclic
-    convolution of log indicators (:func:`_log_tables`,
-    :func:`_log_spectra`), or, when q < k and the table is GF(2)-linear in
-    y, from 2^k lookups per a in the Walsh transform of the y support
-    (:func:`_y_functionals`, :func:`_linear_spectra`).  All give the same
-    integers.
+
+def bias_reports(ctx: GFContext, n: int, ks: Sequence[int], *,
+                 seed: int = 0) -> Iterator[BiasReport]:
+    """One :func:`check_one_bit_bias` report per entropy floor in ks, in order.
+
+    The tables are built once for all of ks; each k draws its support pairs
+    as :func:`check_one_bit_bias` does, from `seed`.  Each pair's spectrum
+    is the Walsh transform of its grouped histogram (4^k cells).  For a
+    batch of pairs at a time it comes instead, when n = 1 and the table
+    passes the discrete-log guard, from a cyclic convolution of log
+    indicators (:func:`_log_tables`, :func:`_log_spectra`), or, when q < k
+    and the table is GF(2)-linear in y, from 2^k lookups per a in the Walsh
+    transform of the y support (:func:`_y_functionals`,
+    :func:`_linear_spectra`).  All give the same integers.
     """
     t = _feasible(ctx, n, MAX_DENSE_BITS, "one-bit bias check")
-    if not 0 <= k <= t:
-        raise ValueError(f"entropy floor k={k} outside 0..{t}")
+    for k in ks:
+        if not 0 <= k <= t:
+            raise ValueError(f"entropy floor k={k} outside 0..{t}")
     size = 1 << t
-    support = 1 << k
     z = ip_value_table(ctx, n)
     brow = first_bit_rows(ctx)
+    logs = _log_tables(z) if n == 1 else None
+    functionals = cache(lambda: _y_functionals(brow[z], ctx.q))   # built at the first k > q
 
-    x_sets, y_sets, exhaustive = _support_pairs(size, support, seed)
-
-    batched = None
-    if n == 1:
-        logs = _log_tables(z)
+    for k in ks:
+        support = 1 << k
+        x_sets, y_sets, exhaustive = _support_pairs(size, support, seed)
+        batched = None
         if logs is not None:
             batched = partial(_log_spectra, logs, brow)
             step = max(1, _LOOKUP_BATCH >> ctx.q)
-    elif ctx.q < k:
-        functionals = _y_functionals(brow[z], ctx.q)
-        if functionals is not None:
-            batched = partial(_linear_spectra, functionals)
+        elif ctx.q < k and functionals() is not None:
+            batched = partial(_linear_spectra, functionals())
             step = max(1, _LOOKUP_BATCH // max(size, support << ctx.q))
 
-    denom = float(support) * float(support)
-    max_bias = None
-    if batched is not None:
-        max_bias = 0.0
-        for start in range(0, len(x_sets), step):
-            spectra = batched(x_sets[start:start + step], y_sets[start:start + step])
-            if spectra is None:   # a convolution that did not round: enumerate
-                max_bias = None
-                break
-            max_bias = max(max_bias, float(np.abs(spectra[:, 1:]).max()) / denom)
-    if max_bias is None:
-        max_bias = 0.0
-        w_of_z = brow[z]  # map each (x, y) cell straight to its functional group
-        for sx, sy in zip(x_sets, y_sets):
-            grouped = np.bincount(w_of_z[np.ix_(sx, sy)].ravel(), minlength=1 << ctx.q)
-            spectrum = walsh_transform(grouped)
-            # spectrum[a] = sum over support pairs of (-1)^f_a; bias = |spectrum|/4^k
-            bias = float(np.abs(spectrum[1:]).max()) / denom
-            max_bias = max(max_bias, bias)
-    bound = 2.0 ** (1.0 - (2 * k - t) / 2.0)
-    return BiasReport(t, k, max_bias, bound, len(x_sets), exhaustive)
+        denom = float(support) * float(support)
+        max_bias = None
+        if batched is not None:
+            max_bias = 0.0
+            for start in range(0, len(x_sets), step):
+                spectra = batched(x_sets[start:start + step], y_sets[start:start + step])
+                if spectra is None:   # a convolution that did not round: enumerate
+                    max_bias = None
+                    break
+                max_bias = max(max_bias, float(np.abs(spectra[:, 1:]).max()) / denom)
+        if max_bias is None:
+            max_bias = 0.0
+            w_of_z = brow[z]  # map each (x, y) cell straight to its functional group
+            for sx, sy in zip(x_sets, y_sets):
+                grouped = np.bincount(w_of_z[np.ix_(sx, sy)].ravel(), minlength=1 << ctx.q)
+                spectrum = walsh_transform(grouped)
+                # spectrum[a] = sum over support pairs of (-1)^f_a; bias = |spectrum|/4^k
+                bias = float(np.abs(spectrum[1:]).max()) / denom
+                max_bias = max(max_bias, bias)
+        bound = 2.0 ** (1.0 - (2 * k - t) / 2.0)
+        yield BiasReport(t, k, max_bias, bound, len(x_sets), exhaustive)
 
 
+@lru_cache(maxsize=_SUPPORT_DRAWS)
 def _support_pairs(size: int, support: int, seed: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """The (x, y) support pairs of the bias check, as two (pairs, support) arrays.
 
     Every pair of size-`support` subsets of range(size) when there are few
     enough; otherwise SAMPLED_PAIRS seeded random pairs, x drawn before y.
+    Cached, because the draw depends on (t, k, seed) alone and every
+    instance (q, n) of one t = q * n repeats it; the arrays are read-only.
     """
     n_subsets = math.comb(size, support)
     exhaustive = n_subsets <= EXHAUSTIVE_LIMIT and n_subsets**2 <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        subsets = np.array(list(combinations(range(size), support)), dtype=np.int64)
-        return (np.repeat(subsets, n_subsets, axis=0), np.tile(subsets, (n_subsets, 1)),
-                True)
-    rng = np.random.default_rng(seed)
-    drawn = np.array([rng.choice(size, size=support, replace=False)
-                      for _ in range(2 * SAMPLED_PAIRS)], dtype=np.int64)
-    return drawn[0::2], drawn[1::2], False
+        subsets = np.array(list(combinations(range(size), support)), dtype=np.uint16)
+        x_sets, y_sets = np.repeat(subsets, n_subsets, axis=0), np.tile(subsets, (n_subsets, 1))
+    else:
+        rng = np.random.default_rng(seed)
+        drawn = np.array([rng.choice(size, size=support, replace=False)
+                          for _ in range(2 * SAMPLED_PAIRS)], dtype=np.uint16)
+        x_sets, y_sets = drawn[0::2], drawn[1::2]
+    for sets in (x_sets, y_sets):
+        sets.setflags(write=False)
+    return x_sets, y_sets, exhaustive
 
 
 def _y_functionals(w: np.ndarray, q: int) -> np.ndarray | None:
@@ -620,8 +664,11 @@ def check_extractor_distance(
                 f"tables have min-entropy {hmin:.6f} < declared rate * qn = {rate * t:.6f}"
             )
     z = ip_value_table(ctx, n)
-    weights = np.outer(px, py)
-    out = np.bincount(z.ravel(), weights=weights.ravel(), minlength=1 << ctx.q)
+    out = np.zeros(1 << ctx.q)
+    for start in range(0, size, _ROW_CHUNK):   # row blocks bound the weight arrays
+        rows = slice(start, start + _ROW_CHUNK)
+        out += np.bincount(z[rows].ravel(), weights=np.outer(px[rows], py).ravel(),
+                           minlength=1 << ctx.q)
     distance = 0.5 * float(np.abs(out - 1.0 / (1 << ctx.q)).sum())
     log2_bound = LOG2_SQRT3 - 0.25 - (rate / 4.0 - 0.125) * t + 2.0 * ctx.q
     bound = min(1.0, 2.0 ** log2_bound)
@@ -706,6 +753,7 @@ __all__ = [
     "DistanceReport",
     "MAX_DENSE_BITS",
     "MAX_HADAMARD_BITS",
+    "bias_reports",
     "check_extractor_distance",
     "check_first_bit_bijection",
     "check_hadamard",

@@ -251,6 +251,29 @@ def test_extract_refuses_self_pairing(tmp_path, capsys, flags):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["dev-stdin", "redirected-file", "dev-fd-0-pipe"])
+def test_extract_refuses_standard_input_paired_with_itself(tmp_path, case):
+    # --x - with a --y that names the file standard input reads: one stream
+    # would be paired with itself.
+    f = tmp_path / "f.bin"
+    f.write_bytes(bytes(range(256)) * 8)
+    out = tmp_path / "z.bin"
+    y = {"dev-stdin": "/dev/stdin", "redirected-file": str(f), "dev-fd-0-pipe": "/dev/fd/0"}[case]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "blockext.cli", *EQ_FLAGS, "--N", "2048", "--x", "-",
+            "--y", y, "--out", str(out)]
+    if case == "dev-fd-0-pipe":
+        done = subprocess.run(argv, input=f.read_bytes(), capture_output=True, env=env,
+                              timeout=60)
+    else:
+        with open(f, "rb") as stdin:
+            done = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=60)
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert "same file" in err and "--x -" in err and f"--y {y}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", [("--out", "x"), ("--out", "y"), ("--report", "x")],
                          ids=["out-x", "out-y", "report-x"])
 @pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
@@ -616,6 +639,22 @@ failures = 0
 def test_verify_all_report_is_pinned(capsys):
     assert run_cli("verify", "--suite", "all", "--max-bits", "4") == 0
     assert capsys.readouterr().out == VERIFY_ALL_4
+
+
+def test_verify_oracle_lines_match_the_recorded_benchmark_results(capsys):
+    # The check lines the `oracles` benchmark workload compares, at its seed 0.
+    recorded = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "oracle_expected.json").read_text())
+    for argv, expected in ((("--suite", "bias", "--max-bits", "10", "--seed", "0"),
+                            recorded["bias"]["0"]),
+                           (("--suite", "hadamard", "--max-bits", "13"), recorded["hadamard"])):
+        assert run_cli("verify", *argv) == 0
+        checks = {}
+        for line in capsys.readouterr().out.splitlines():
+            key, sep, rest = line.partition(":")
+            if sep and line.startswith(("bias ", "hadamard ")):
+                checks[key] = rest.strip()
+        assert checks == expected
 
 
 def test_verify_clamps_every_suite_to_its_cap(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from blockext.errors import InfeasibleError
 from blockext.extractor import ext_ip
 from blockext.gf2q import field
 from blockext.verify import (
+    bias_reports,
     check_extractor_distance,
     check_first_bit_bijection,
     check_hadamard,
@@ -34,13 +35,14 @@ from blockext.verify import (
 from blockext.verify import (
     BiasReport,
     _digit_spectra,
+    _gf2_ranks,
     _ip_rows,
     _linear_spectra,
     _log_spectra,
     _log_tables,
     _parity_table,
-    _permutation_rows,
     _product_counts,
+    _rank_verdicts,
     _support_pairs,
     _window_table,
     _y_functionals,
@@ -106,6 +108,22 @@ def test_shift_and_window_tables_match_field_multiplication():
             for v in list(samples)[:32]:
                 for u in range(1 << (q - 8)):
                     assert int(hi[v, u]) == ctx.mul(v, (u << 8) & ctx.mask)
+
+
+def test_window_tables_are_schoolbook_sums_of_shift_table_columns():
+    # Every cell of every window table equals the XOR of the shift-table
+    # columns of its column index's set bits.
+    for q in (1, 5, 8, 9, 12, 13):
+        ctx = field(q)
+        tables = shift_tables(ctx)
+        for base in range(0, q, 8):
+            width = min(8, q - base)
+            expected = np.zeros((1 << q, 1 << width), dtype=np.uint16)
+            for u in range(1 << width):
+                for j in range(width):
+                    if u >> j & 1:
+                        expected[:, u] ^= tables[base + j]
+            assert np.array_equal(_window_table(ctx, base, width), expected), (q, base)
 
 
 def test_first_bit_rows_are_xor_linear():
@@ -260,40 +278,106 @@ def test_counts_fail_on_any_flipped_bit_of_a_digit_table_row(monkeypatch, q):
                 assert not check_hadamard(ctx, 2, method="counts"), (d, y, bit)
 
 
-def test_kernel_verdict_matches_bincount_per_row():
-    # Every n = 1 row for q <= 12, and two linear variants of each: one with
-    # the low output bit dropped (a nontrivial kernel) and one with it copied
-    # to bit q (injective, but leaving range(2^q)).  A table not linear in y
-    # gets no verdict.
+def _literal_permutation_rows(ctx):
+    """Per n = 1 row d >= 1: np.all(np.bincount(row) == 1), row by row."""
+    z = _ip_rows(ctx, 1, np.arange(1, 1 << ctx.q)).astype(np.int64)
+    return np.array([np.all(np.bincount(row) == 1) for row in z])
+
+
+def _patch_window_tables(monkeypatch, change):
+    real = verify_mod._window_table
+    monkeypatch.setattr(verify_mod, "_window_table",
+                        lambda ctx, base, width: change(real(ctx, base, width).copy(), base))
+
+
+def test_gf2_ranks_match_elimination_one_matrix_at_a_time():
+    def rank(columns):
+        pivots = {}   # leading bit -> column
+        for v in columns:
+            while v and v.bit_length() - 1 in pivots:
+                v ^= pivots[v.bit_length() - 1]
+            if v:
+                pivots[v.bit_length() - 1] = v
+        return len(pivots)
+
+    rng = np.random.default_rng(12)
+    for bits in (1, 2, 3, 5, 8, 12):
+        m = rng.integers(0, 1 << bits, size=(400, bits))
+        expected = [rank(row.tolist()) for row in m]
+        assert np.array_equal(_gf2_ranks(m, bits), expected), bits
+        assert len(set(expected)) > 1
+
+
+def test_rank_verdict_matches_bincount_per_row(monkeypatch):
+    # Every n = 1 row for q <= 12, and two linear variants of each, built on
+    # the window tables: one with the low output bit dropped (a nontrivial
+    # kernel) and one with it copied to bit q (injective, but leaving
+    # range(2^q)).  A window table not linear in its column gets no verdict.
     for q in range(1, 13):
-        z = _ip_rows(field(q), 1, np.arange(1, 1 << q)).astype(np.int64)
-        for table in (z, z & ~1, z ^ ((z & 1) << q)):
-            literal = [np.all(np.bincount(row) == 1) for row in table]
-            assert np.array_equal(_permutation_rows(table), literal), q
-        bent = z.copy()
-        bent[-1, 0] ^= 1
-        assert _permutation_rows(bent) is None
+        ctx = field(q)
+        for variant in (lambda w, base: w, lambda w, base: w ^ (w & 1),
+                        lambda w, base: w ^ ((w & 1) << q)):
+            with monkeypatch.context() as m:
+                _patch_window_tables(m, variant)
+                assert np.array_equal(_rank_verdicts(ctx), _literal_permutation_rows(ctx)), q
+        for bent_base in range(0, q, 8):
+            def bent(w, base, bent_base=bent_base):
+                if base == bent_base:
+                    w[-1, 0] ^= 1
+                return w
+
+            with monkeypatch.context() as m:
+                _patch_window_tables(m, bent)
+                assert _rank_verdicts(ctx) is None, (q, bent_base)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_counts_fail_on_any_flipped_bit_of_an_n1_table_row(monkeypatch, q):
-    # The n = 1 counts method accepts a chunk of rows as permutations only
-    # after checking it is linear in y; one flipped product bit anywhere must
-    # fail the check.
+    # The n = 1 counts method takes the rank path only after checking that
+    # the window table is linear in its column; one flipped product bit in
+    # any row d >= 1 must fail the check.  At q <= 8 the one window table is
+    # the whole n = 1 table.
     ctx = field(q)
-    real_ip_rows = verify_mod._ip_rows
     assert check_hadamard(ctx, 1, method="counts")
     for d in range(1, 1 << q):
         for y in range(1 << q):
             for bit in range(q):
-                def flipped(ctx, n, d_values, d=d, y=y, bit=bit):
-                    z = real_ip_rows(ctx, n, d_values).copy()
-                    assert n == 1 and d_values[d - 1] == d
-                    z[d - 1, y] ^= 1 << bit
-                    return z
+                def flipped(w, base, d=d, y=y, bit=bit):
+                    w[d, y] ^= 1 << bit
+                    return w
 
-                monkeypatch.setattr(verify_mod, "_ip_rows", flipped)
-                assert not check_hadamard(ctx, 1, method="counts"), (d, y, bit)
+                with monkeypatch.context() as m:
+                    _patch_window_tables(m, flipped)
+                    assert not check_hadamard(ctx, 1, method="counts"), (d, y, bit)
+
+
+def test_counts_on_flipped_bits_of_both_q9_windows_match_literal_histograms(monkeypatch):
+    # q = 9 splits y into windows of 8 bits and 1 bit.  A flipped bit in the
+    # 1-bit window's unit column leaves its table linear, and the rows stay
+    # bijections exactly when M(d) keeps rank 9; some flips of either window
+    # keep every row a bijection, so the Hadamard property holds for the
+    # flipped table.  The verdict must be the literal one: pass exactly when
+    # every row's value histogram is all ones.
+    q = 9
+    ctx = field(q)
+    rng = random.Random(9)
+    outcomes = set()
+    for base, width in ((0, 8), (8, 1)):
+        for _ in range(24):
+            d, u, bit = rng.randrange(1, 1 << q), rng.randrange(1 << width), rng.randrange(q)
+
+            def flipped(w, b, base=base, d=d, u=u, bit=bit):
+                if b == base:
+                    w[d, u] ^= 1 << bit
+                return w
+
+            with monkeypatch.context() as m:
+                _patch_window_tables(m, flipped)
+                literal = bool(_literal_permutation_rows(ctx).all())
+                assert check_hadamard(ctx, 1, method="counts") == literal, (base, d, u, bit)
+            outcomes.add((base, u == 0, literal))
+    assert {(0, False, False), (8, True, False), (8, False, False),
+            (8, False, True)} <= outcomes
 
 
 # ---------- one-bit bias ----------
@@ -335,6 +419,19 @@ def test_bias_validation():
         check_one_bit_bias(field(13), 1, 4)
     with pytest.raises(ValueError):
         check_one_bit_bias(field(2), 2, 5)
+    with pytest.raises(ValueError):
+        next(bias_reports(field(2), 2, (3, 5)))
+
+
+def test_bias_reports_equal_one_check_per_k():
+    # The tables shared across k change no report: every instance with
+    # t <= 8, at the CLI's k set.
+    for q, n in hadamard_instances(8):
+        t = q * n
+        ks = sorted({t, t - 1, max(1, (3 * t) // 4)})
+        seed = 100 + t
+        assert (list(bias_reports(field(q), n, ks, seed=seed))
+                == [check_one_bit_bias(field(q), n, k, seed=seed) for k in ks]), (q, n)
 
 
 def test_linear_bias_spectra_match_grouped_walsh():
