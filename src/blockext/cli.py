@@ -14,6 +14,7 @@ import dataclasses
 import itertools
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -115,36 +116,47 @@ def _refuse_same_files(*named: tuple[str, str | None]) -> None:
             raise ValueError(f"{flag_a} {a} and {flag_b} {b} are the same file")
 
 
-def _refuse_standard_input_as(stdin_flag: str, flag: str, path: str) -> None:
+def _refuse_standard_input_as(stdin_flag: str, flag: str, path: str | None, *,
+                              regular_only: bool = False) -> None:
     """Refuse `path` when it names the file that standard input reads.
 
     By os.path.samestat of standard input's descriptor and `path`, so
-    /dev/stdin, /dev/fd/0 and a redirected file all match; skipped when
-    standard input has no usable descriptor or `path` does not exist.
+    /dev/stdin, /dev/fd/0 and a redirected file all match; with
+    `regular_only`, only a regular file is refused (an output that is a
+    terminal or /dev/null on both sides destroys nothing).  Skipped when
+    `path` is None or does not exist, or standard input has no usable
+    descriptor.
     """
+    if not path or not os.path.exists(path):
+        return
     try:
         stdin = os.fstat(sys.stdin.fileno())
     except (AttributeError, OSError, ValueError):
         return
-    if os.path.exists(path) and os.path.samestat(stdin, os.stat(path)):
+    target = os.stat(path)
+    if os.path.samestat(stdin, target) and (not regular_only or stat.S_ISREG(target.st_mode)):
         raise ValueError(f"{stdin_flag} - (standard input) and {flag} {path} are the same file")
 
 
 def _extract(args, extract, plan, **options) -> int:
     """Run `extract` over the --x/--y sources into --out and emit its report.
 
-    At most one source may be standard input, the other source may not be
-    the file it reads, and no two of --x, --y, --out and --report may name
-    one file, checked before anything is opened; a run that fails after it
-    started still emits its report (stop_reason = interrupted) before the
-    error propagates.
+    At most one source may be standard input, neither the other source nor
+    a regular --out or --report file may be the file it reads, and no two
+    of --x, --y, --out and --report may name one file, checked before
+    anything is opened (opening --out truncates it); a run that fails after
+    it started still emits its report (stop_reason = interrupted) before
+    the error propagates.
     """
     if args.x == args.y == "-":
         raise ValueError("the two sources must be physically independent streams; "
                          "at most one may be standard input")
     sources = [(flag, path) for flag, path in (("--x", args.x), ("--y", args.y)) if path != "-"]
     if len(sources) == 1:
-        _refuse_standard_input_as("--x" if args.x == "-" else "--y", *sources[0])
+        stdin_flag = "--x" if args.x == "-" else "--y"
+        _refuse_standard_input_as(stdin_flag, *sources[0])
+        for flag, path in (("--out", args.out), ("--report", args.report)):
+            _refuse_standard_input_as(stdin_flag, flag, path, regular_only=True)
     _refuse_same_files(*sources, ("--out", args.out), ("--report", args.report))
     with contextlib.ExitStack() as stack:
         fx, fy = (sys.stdin.buffer if path == "-" else stack.enter_context(open(path, "rb"))
@@ -280,18 +292,20 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args) -> int:
+    """Run the suites, writing each check line to stdout or --report as it is decided."""
     if args.max_bits < 1:
         # A suite that enumerates no instance must not read as a pass.
         raise ValueError(f"--max-bits must be >= 1, got {args.max_bits}")
-    lines: list[str] = []
-    failures = 0
-    for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
-        for text, ok in VERIFY_SUITES[suite](args):
-            failures += not ok
-            lines.append(f"{text} {'PASS' if ok else 'FAIL'}")
-    lines.append(f"checks = {len(lines)}")
-    lines.append(f"failures = {failures}")
-    _emit("\n".join(lines) + "\n", args.report)
+    checks = failures = 0
+    with contextlib.ExitStack() as stack:
+        sink = stack.enter_context(open(args.report, "w")) if args.report else sys.stdout
+        for suite in VERIFY_SUITES if args.suite == "all" else (args.suite,):
+            for text, ok in VERIFY_SUITES[suite](args):
+                checks += 1
+                failures += not ok
+                sink.write(f"{text} {'PASS' if ok else 'FAIL'}\n")
+                sink.flush()
+        sink.write(f"checks = {checks}\nfailures = {failures}\n")
     if failures:
         raise VerificationError(f"{failures} verification check(s) violated a bound")
     return 0

@@ -25,13 +25,24 @@ to those histograms; the reduction uses only the XOR-linearity of the inner
 product and of the first-bit functionals, identities that the test suite
 property-checks independently.
 
-Five identities make the oracles fast; each keeps its result exact and
+Seven identities make the oracles fast; each keeps its result exact and
 equal to literal enumeration, and each has a guard:
 
-  * Gram blocking (direct).  The Gram matrix is formed in row blocks of at
-    most 2^18 multiply-adds each, below OpenBLAS's threading threshold, in
-    float32.  Guard: exact, because every entry and partial sum is an
+  * Gram blocking (direct).  The Gram matrix is formed in square tiles of
+    at most 2^18 multiply-adds each, below OpenBLAS's threading threshold,
+    in float32.  Guard: exact, because every entry and partial sum is an
     integer of magnitude at most 2^t <= 2^12 < 2^24.
+  * Gram tile symmetry (direct).  Only the tiles (i, j) with i <= j are
+    formed: tile (j, i) is exactly tile (i, j) transposed, since both are
+    the same exact integers.  Every unordered pair of rows and every
+    diagonal entry is still formed and compared.
+  * Sylvester factors (Walsh transform).  H_(2^t) = H_m1 (x) H_m2 with
+    m1 = 2^ceil(t/2) and m2 = 2^floor(t/2), so a row read as an m1 x m2
+    matrix X transforms to H_m1 X H_m2: two float64 products, each at most
+    2^18 multiply-adds.  Guard: taken only for lengths up to 2^12 and
+    max|x| * 2^t < 2^53, where every product is +/-x and every partial sum
+    an integer below 2^53, so the result is exact in any summation order;
+    anything else takes the int64 butterfly.
   * Per-digit Walsh product (counts, n >= 2).  The histogram of
     <d, y> = XOR_i d_i * y_i is the XOR-convolution of the per-digit
     histograms h_{d_i}, so it is the inverse Walsh transform of the product
@@ -88,7 +99,8 @@ MAX_DENSE_BITS = 12       # full 2^t x 2^t inner-product tables
 DIRECT_METHOD_BITS = 8
 _ROW_CHUNK = 512
 _LOOKUP_BATCH = 1 << 16   # one-bit bias: table entries per batch of support pairs
-_GRAM_BLOCK_OPS = 1 << 18  # multiply-adds per Gram product; OpenBLAS threads above this
+_GRAM_BLOCK_OPS = 1 << 18  # multiply-adds per float product; OpenBLAS threads above this
+_SYLVESTER_BITS = 12      # longest Walsh transform taken by Sylvester factors: 2^12
 EXHAUSTIVE_LIMIT = 10**5  # one-bit bias: enumerate supports up to this many
 SAMPLED_PAIRS = 200       # one-bit bias: seeded support pairs tested otherwise
 _SUPPORT_DRAWS = 32       # one-bit bias: draws kept, all of `verify --suite bias` at t <= 12
@@ -121,25 +133,33 @@ def first_bit_rows(ctx: GFContext) -> np.ndarray:
     """brow[v] packs the first bits of v * x^j over j: bit j of brow[v].
 
     The first bit of a * v equals parity(a & brow[v]) for every a, again by
-    schoolbook expansion of the product.
+    schoolbook expansion of the product.  uint16, like the shift tables:
+    q <= 16.
     """
     q = ctx.q
     tables = shift_tables(ctx)
-    brow = np.zeros(1 << q, dtype=np.uint32)
+    brow = np.zeros(1 << q, dtype=np.uint16)
     for j in range(q):
-        brow |= (tables[j].astype(np.uint32) & 1) << j
+        brow |= (tables[j] & 1) << j
     return brow
 
 
 def walsh_transform(rows: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (exact, int64).
 
-    out[..., a] = sum_w rows[..., w] * (-1)^popcount(a & w).
+    out[..., a] = sum_w rows[..., w] * (-1)^popcount(a & w).  Lengths up to
+    2^_SYLVESTER_BITS whose values have max|x| * length < 2^53 go through
+    the Sylvester factors (:func:`_sylvester_walsh`); the rest through an
+    int64 butterfly.
     """
-    a = np.array(rows, dtype=np.int64, order="C")  # a C-contiguous copy: reshape is a view
+    a = np.asarray(rows, dtype=np.int64)
     n = a.shape[-1]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
+    if (n <= 1 << _SYLVESTER_BITS and a.size
+            and max(-int(a.min()), int(a.max())) * n < 1 << 53):
+        return _sylvester_walsh(a)
+    a = np.array(a, order="C")  # a C-contiguous copy: reshape is a view
     h = 1
     while h < n:
         # In place on a view of the fresh copy: (lo, hi) -> (lo + hi, lo - hi).
@@ -150,6 +170,43 @@ def walsh_transform(rows: np.ndarray) -> np.ndarray:
         hi += lo
         h *= 2
     return a
+
+
+@cache
+def _sylvester(size: int) -> np.ndarray:
+    """H[a, w] = (-1)^popcount(a & w) for a, w < size, in float64.
+
+    Built by the Sylvester doubling H_2m = [[H_m, H_m], [H_m, -H_m]].
+    Cached per size; the returned array is read-only.
+    """
+    h = np.ones((1, 1))
+    while len(h) < size:
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
+def _sylvester_walsh(a: np.ndarray) -> np.ndarray:
+    """Walsh transform of the int64 rows `a` by H_(m1 m2) = H_m1 (x) H_m2.
+
+    Each row, read as an m1 x m2 matrix X (m1 = 2^ceil(t/2), m2 =
+    2^floor(t/2)), transforms to H_m1 X H_m2, in float64.  Rows go in
+    batches small enough that the right product and each matrix of the
+    batched left product take at most _GRAM_BLOCK_OPS multiply-adds.  The
+    caller guarantees max|x| * 2^t < 2^53, so every product is +/-x and
+    every partial sum an integer below 2^53: exact in any summation order.
+    """
+    n = a.shape[-1]
+    m2 = 1 << ((n.bit_length() - 1) // 2)
+    m1 = n // m2
+    h1, h2 = _sylvester(m1), _sylvester(m2)
+    rows = a.reshape(-1, n)
+    out = np.empty(rows.shape, dtype=np.int64)
+    step = max(1, _GRAM_BLOCK_OPS // (n * m1))
+    for start in range(0, len(rows), step):
+        x = rows[start:start + step].reshape(-1, m2).astype(np.float64)
+        out[start:start + step] = np.matmul(h1, np.matmul(x, h2).reshape(-1, m1, m2)).reshape(-1, n)
+    return out.reshape(a.shape)
 
 
 def _feasible(ctx: GFContext, n: int, cap: int, what: str) -> int:
@@ -207,11 +264,12 @@ def _ip_rows(ctx: GFContext, n: int, d_values: np.ndarray) -> np.ndarray:
 def ip_value_table(ctx: GFContext, n: int) -> np.ndarray:
     """Dense table of <x, y> for all x, y; feasible for q*n <= 12."""
     t = _feasible(ctx, n, MAX_DENSE_BITS, "dense inner-product table")
-    rows = []
-    xs = np.arange(1 << t, dtype=np.int64)
-    for start in range(0, 1 << t, _ROW_CHUNK):
-        rows.append(_ip_rows(ctx, n, xs[start:start + _ROW_CHUNK]))
-    return np.concatenate(rows, axis=0)
+    size = 1 << t
+    table = np.empty((size, size), dtype=np.uint16)
+    for start in range(0, size, _ROW_CHUNK):
+        table[start:start + _ROW_CHUNK] = _ip_rows(
+            ctx, n, np.arange(start, min(size, start + _ROW_CHUNK), dtype=np.int64))
+    return table
 
 
 # ---------- hadamard property ----------
@@ -231,21 +289,32 @@ def check_hadamard(ctx: GFContext, n: int, method: str = "auto") -> bool:
 def _hadamard_direct(ctx: GFContext, n: int) -> bool:
     """Literal check: Gram matrix of every f_a's +/-1 row matrix.
 
-    The Gram matrix is formed in row blocks of `step` rows, each product at
-    most _GRAM_BLOCK_OPS multiply-adds.  float32 is exact here: every entry
-    and partial sum is an integer of magnitude at most 2^t <= 2^12.
+    The Gram matrix is formed as square tiles of `side` rows, each product
+    at most _GRAM_BLOCK_OPS multiply-adds, and only the tiles (i, j) with
+    i <= j: tile (j, i) is tile (i, j) transposed, so every unordered pair
+    of rows and every diagonal entry is still formed and compared.  float32
+    is exact here: every entry and partial sum is an integer of magnitude
+    at most 2^t <= 2^12.
     """
-    size = 1 << (ctx.q * n)
-    z = ip_value_table(ctx, n)
+    t = ctx.q * n
+    size = 1 << t
+    z = ip_value_table(ctx, n).astype(np.intp)
     brow = first_bit_rows(ctx)
     parity = _parity_table(ctx.q)
-    step = max(1, min(size, _GRAM_BLOCK_OPS // (size * size)))
-    identity = (np.float32(size) * np.eye(size, dtype=np.float32)).reshape(
-        size // step, step, size)
+    side = min(size, 1 << ((_GRAM_BLOCK_OPS.bit_length() - 1 - t) // 2))
+    tiles = size // side
+    # gram[starts[i] + j - i] is tile (i, j), for i <= j.
+    starts = [i * tiles - i * (i - 1) // 2 for i in range(tiles + 1)]
+    expected = np.zeros((starts[-1], side, side), dtype=np.float32)
+    expected[starts[:-1]] = np.float32(size) * np.eye(side, dtype=np.float32)
+    gram = np.empty_like(expected)
+    signs = np.empty((tiles, side, size), dtype=np.float32)
     for a in range(1, 1 << ctx.q):
-        signs = (1 - 2 * parity[a & brow].astype(np.float32))[z]   # +/-1 truth table of f_a
-        gram = np.matmul(signs.reshape(size // step, step, size), signs.T)
-        if not np.array_equal(gram, identity):
+        # +/-1 truth table of f_a, as `tiles` row tiles
+        np.take(1 - 2 * parity[a & brow].astype(np.float32), z, out=signs.reshape(size, size))
+        for i in range(tiles):
+            np.matmul(signs[i], signs[i:].transpose(0, 2, 1), out=gram[starts[i]:starts[i + 1]])
+        if not np.array_equal(gram, expected):
             return False
     return True
 
@@ -322,14 +391,18 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
 def _linear_in_y(w: np.ndarray) -> bool:
     """Whether every row of w is GF(2)-linear in the column index y.
 
-    Checked over every cell: column y + 2^j must equal column y XOR column
-    2^j for every y < 2^j (j = 0 forces column 0 to be zero).
+    Checked over every cell, in blocks of _ROW_CHUNK rows: column y + 2^j
+    must equal column y XOR column 2^j for every y < 2^j (j = 0 forces
+    column 0 to be zero).
     """
     size = w.shape[1]
-    for j in range(size.bit_length() - 1):
-        unit = 1 << j
-        if not np.array_equal(w[:, unit:2 * unit], w[:, :unit] ^ w[:, unit:unit + 1]):
-            return False
+    for start in range(0, len(w), _ROW_CHUNK):
+        block = w[start:start + _ROW_CHUNK]
+        for j in range(size.bit_length() - 1):
+            unit = 1 << j
+            if not np.array_equal(block[:, unit:2 * unit],
+                                  block[:, :unit] ^ block[:, unit:unit + 1]):
+                return False
     return True
 
 
@@ -539,7 +612,9 @@ def _linear_spectra(functionals: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> 
     indicator = np.zeros((len(sy), functionals.shape[1]), dtype=np.int64)
     indicator[rows, sy] = 1
     walsh = walsh_transform(indicator)
-    return walsh[rows[:, :, None], functionals[:, sx].swapaxes(0, 1)].sum(axis=-1)
+    # One flat lookup: pair p's transform starts at p * 2^t in walsh.ravel().
+    index = functionals[:, sx] + rows * functionals.shape[1]
+    return walsh.ravel().take(index).sum(axis=-1).T
 
 
 def _log_tables(z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

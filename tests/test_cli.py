@@ -274,6 +274,41 @@ def test_extract_refuses_standard_input_paired_with_itself(tmp_path, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_extract_refuses_to_write_over_the_file_standard_input_reads(tmp_path, flag):
+    # extract-eq --x - ... --out f.bin < f.bin would truncate its own input.
+    f = tmp_path / "f.bin"
+    data = bytes(range(256)) * 16
+    f.write_bytes(data)
+    y = tmp_path / "y.bin"
+    y.write_bytes(bytes(4096))
+    outputs = {"--out": str(tmp_path / "z.bin"), "--report": str(tmp_path / "r.txt"),
+               flag: str(f)}
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "blockext.cli", *EQ_FLAGS, "--N", "4096", "--x", "-",
+            "--y", str(y), *(arg for item in outputs.items() for arg in item)]
+    with open(f, "rb") as stdin:
+        done = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=60)
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert "same file" in err and "--x -" in err and f"{flag} {f}" in err
+    assert f.read_bytes() == data
+    assert not any(Path(path).exists() for name, path in outputs.items() if name != flag)
+
+
+def test_extract_accepts_dev_null_as_standard_input_and_output(tmp_path):
+    # Not a regular file: standard input and --out on /dev/null destroy nothing.
+    y = tmp_path / "y.bin"
+    y.write_bytes(bytes(4096))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "blockext.cli", *EQ_FLAGS, "--N", "4096", "--x", "-",
+            "--y", str(y), "--out", os.devnull]
+    with open(os.devnull, "rb") as stdin:
+        done = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    assert "stop_reason = input-exhausted" in done.stdout.decode()
+
+
 @pytest.mark.parametrize("target", [("--out", "x"), ("--out", "y"), ("--report", "x")],
                          ids=["out-x", "out-y", "report-x"])
 @pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
@@ -678,6 +713,32 @@ def test_verify_failure_is_reported_and_exits_6(monkeypatch, tmp_path, capsys):
     assert "bijection q=3: FAIL\n" in text
     assert "bijection q=4: PASS\n" in text
     assert text.endswith("checks = 8\nfailures = 1\n")
+
+
+@pytest.mark.parametrize("to_report", [False, True], ids=["stdout", "report"])
+def test_verify_writes_each_check_line_as_it_is_decided(monkeypatch, tmp_path, capsys,
+                                                        to_report):
+    # The second check sees the first one's line already in the sink, and a
+    # suite that raises partway leaves the lines decided before it.
+    report = tmp_path / "verify.txt"
+    written = []
+
+    def sink_text():
+        if not to_report:
+            written.append(capsys.readouterr().out)
+            return "".join(written)
+        return report.read_text()
+
+    def suite(args):
+        yield "first:", True
+        assert sink_text() == "first: PASS\n"
+        yield "second:", False
+        raise RuntimeError("a check that could not run")
+
+    monkeypatch.setitem(cli.VERIFY_SUITES, "xor", suite)
+    with pytest.raises(RuntimeError):
+        run_cli("verify", "--suite", "xor", *(("--report", str(report)) if to_report else ()))
+    assert sink_text() == "first: PASS\nsecond: FAIL\n"
 
 
 def test_bench_cost_and_zero_lane_exit(capsys):

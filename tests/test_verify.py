@@ -9,7 +9,10 @@ difference reduction are property-tested here as well.
 """
 
 import itertools
+import json
 import random
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +76,7 @@ def reference_hadamard(ctx, n):
 
 # ---------- table machinery ----------
 
+
 def test_walsh_transform_matches_definition():
     rng = np.random.default_rng(0)
     rows = rng.integers(0, 50, size=(3, 8))
@@ -82,6 +86,45 @@ def test_walsh_transform_matches_definition():
             expect = sum(int(rows[r, w]) * (-1) ** bin(a & w).count("1")
                          for w in range(8))
             assert got[r, a] == expect
+
+
+def _butterfly(rows):
+    """The int64 Walsh butterfly, one stage at a time; the reference transform."""
+    a = np.array(rows, dtype=np.int64)
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        for start in range(0, n, 2 * h):
+            lo = a[..., start:start + h].copy()
+            hi = a[..., start + h:start + 2 * h].copy()
+            a[..., start:start + h] = lo + hi
+            a[..., start + h:start + 2 * h] = lo - hi
+        h *= 2
+    return a
+
+
+def test_walsh_transform_equals_the_integer_butterfly(monkeypatch):
+    # Random 1-D and 2-D inputs of every length 2^0 .. 2^13, on both sides of
+    # the Sylvester path's guard (length <= 2^12 and max|x| * length < 2^53).
+    # Inputs past the guard must take the butterfly and stay exact.
+    calls = []
+    real = verify_mod._sylvester_walsh
+    monkeypatch.setattr(verify_mod, "_sylvester_walsh",
+                        lambda a: calls.append(a.shape) or real(a))
+    rng = np.random.default_rng(17)
+    for t in range(14):
+        n = 1 << t
+        limit = (1 << 53) // n   # max|x| below this takes the Sylvester path
+        for shape in ((n,), (3, n)):
+            for high in (1 << 20, limit - 1, limit):
+                rows = rng.integers(-high, high, size=shape, endpoint=True)
+                rows.flat[0] = high   # pin max|x| on the chosen side of the guard
+                calls.clear()
+                got = walsh_transform(rows)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, _butterfly(rows)), (t, shape, high)
+                sylvester = t <= 12 and high < limit
+                assert calls == ([shape] if sylvester else []), (t, shape, high)
 
 
 def test_parity_table():
@@ -169,6 +212,7 @@ def test_ip_value_table_matches_ext_ip():
 
 # ---------- hadamard ----------
 
+
 def test_hadamard_methods_agree_with_reference():
     for q, n in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)):
         ctx = field(q)
@@ -195,6 +239,51 @@ def test_hadamard_infeasible():
         check_hadamard(field(1), 17)
     with pytest.raises(InfeasibleError):
         check_hadamard(field(16), 1, method="direct")
+
+
+def test_oracle_float_products_stay_within_the_blas_block(monkeypatch):
+    # Every float product of the Walsh transform and the direct Gram check
+    # takes at most _GRAM_BLOCK_OPS multiply-adds per matrix, so OpenBLAS
+    # never starts its worker thread.
+    real = np.matmul
+    ops = []
+
+    def counted(a, b, *args, **kwargs):
+        ops.append(np.shape(a)[-2] * np.shape(a)[-1] * np.shape(b)[-1])
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    rng = np.random.default_rng(5)
+    for t in range(1, 13):
+        walsh_transform(rng.integers(0, 2, size=(300, 1 << t)))
+    for q, n in ((8, 1), (4, 2), (1, 10), (2, 5)):
+        assert check_hadamard(field(q), n, method="direct")
+    assert ops and max(ops) <= verify_mod._GRAM_BLOCK_OPS
+
+
+def test_direct_equals_counts_on_every_small_instance():
+    for q, n in hadamard_instances(8):
+        verdicts = {check_hadamard(field(q), n, method=m) for m in ("direct", "counts")}
+        assert verdicts == {True}, (q, n)
+
+
+@pytest.mark.parametrize("row", [0, 131, 255], ids=["first-tile", "middle-tile", "last-tile"])
+def test_direct_fails_on_one_flipped_cell_in_any_row_tile(monkeypatch, row):
+    # q = 8, n = 1: 256 rows in tiles of 32, of which only the tile pairs
+    # (i, j) with i <= j are formed; a flipped cell in the first, a middle or
+    # the last row tile must still break a Gram entry.
+    ctx = field(8)
+    real_ip_rows = verify_mod._ip_rows
+
+    def flipped_ip_rows(ctx, n, d_values):
+        z = real_ip_rows(ctx, n, d_values).copy()
+        hit = np.nonzero(np.asarray(d_values) == row)[0]
+        z[hit, (7 * row + 3) % z.shape[1]] ^= 1
+        return z
+
+    assert check_hadamard(ctx, 1, method="direct")
+    monkeypatch.setattr(verify_mod, "_ip_rows", flipped_ip_rows)
+    assert not check_hadamard(ctx, 1, method="direct")
 
 
 def test_counts_fallback_rejects_nonuniform_histograms():
@@ -382,6 +471,7 @@ def test_counts_on_flipped_bits_of_both_q9_windows_match_literal_histograms(monk
 
 # ---------- one-bit bias ----------
 
+
 def test_bias_full_entropy_equals_zero_block_artifact():
     # At k = t both sources are uniform; the all-zero input forces exactly
     # bias 2^-t (not 0: the zero block fixes the output).
@@ -453,6 +543,28 @@ def test_linear_bias_spectra_match_grouped_walsh():
                 grouped = np.bincount(cells.ravel(), minlength=len(sx) << q)
                 literal = walsh_transform(grouped.reshape(len(sx), 1 << q))
                 assert np.array_equal(_linear_spectra(functionals, sx, sy), literal), (q, n, k)
+
+
+def test_linear_spectra_match_the_literal_walsh_on_random_pairs():
+    # Random support pairs at q < k on instances up to t = 10: the lookups
+    # in the y support's transform equal the grouped literal histogram,
+    # transformed by the reference butterfly.
+    rng = np.random.default_rng(31)
+    for q, n in ((1, 10), (2, 5), (3, 3), (5, 2), (4, 2)):
+        ctx = field(q)
+        t = q * n
+        w = first_bit_rows(ctx)[ip_value_table(ctx, n)]
+        functionals = _y_functionals(w, q)
+        assert functionals is not None
+        for k in range(q + 1, t + 1):
+            pairs = 6
+            sx, sy = (np.array([rng.choice(1 << t, size=1 << k, replace=False)
+                                for _ in range(pairs)]) for _ in range(2))
+            cells = w[sx[:, :, None], sy[:, None, :]].reshape(pairs, -1).astype(np.int64)
+            cells += np.arange(pairs, dtype=np.int64)[:, None] << q
+            grouped = np.bincount(cells.ravel(), minlength=pairs << q).reshape(pairs, 1 << q)
+            assert np.array_equal(_linear_spectra(functionals, sx, sy), _butterfly(grouped)), \
+                (q, n, k)
 
 
 @pytest.mark.parametrize("case", ["cell", "column"])
@@ -547,6 +659,7 @@ def test_bias_takes_the_literal_path_when_the_convolution_does_not_round(monkeyp
 
 # ---------- output distance ----------
 
+
 def test_distance_uniform_pair_is_zero_block_mixture():
     # Exact value 2^-t (1 - 2^-q): the all-zero block is the only deviation.
     for q, n in ((1, 1), (2, 2), (3, 2), (1, 8), (4, 3)):
@@ -612,6 +725,7 @@ def test_distance_declared_rate_validation():
 
 # ---------- XOR lemma ----------
 
+
 def test_xor_lemma_frozen_examples():
     constant = np.zeros((2, 1))
     constant[0, 0] = 1.0
@@ -642,6 +756,7 @@ def test_xor_lemma_validation():
 
 # ---------- bijection ----------
 
+
 def test_first_bit_bijection_small_fields():
     for q in range(1, 9):
         assert check_first_bit_bijection(field(q))
@@ -654,3 +769,15 @@ def test_hadamard_instances_enumeration():
     assert len(pairs) == 50
     assert all(q * n <= 16 for q, n in pairs)
     assert (16, 1) in pairs and (1, 16) in pairs and (4, 4) in pairs
+
+
+def test_verify_reports_match_the_recorded_digests():
+    # The cheap runs of scripts/verify_digests.py, replayed in process
+    # against the digests it recorded in tests/data/verify_digests.json.
+    root = Path(__file__).resolve().parents[1]
+    script = runpy.run_path(str(root / "scripts" / "verify_digests.py"))
+    recorded = json.loads((root / "tests" / "data" / "verify_digests.json").read_text())
+    assert set(recorded) == {" ".join(script["argv"](*run)) for run in script["RUNS"]}
+    for seed in (0, 1):
+        argv = script["argv"]("all", 10, seed)
+        assert script["digest"](argv) == recorded[" ".join(argv)], argv
