@@ -23,9 +23,11 @@ t = 8 by default.  "counts" histograms the exact value distribution of
 <d, y> over all y for every nonzero difference d and reduces the pair sums
 to those histograms; the reduction uses only the XOR-linearity of the inner
 product and of the first-bit functionals, identities that the test suite
-property-checks independently.
+property-checks independently.  Its anchor, <0, y> = 0 for every y, is
+read off the tables and checked first.  Both methods fail a table holding
+a value outside range(2^q).
 
-Seven identities make the oracles fast; each keeps its result exact and
+Six identities make the oracles fast; each keeps its result exact and
 equal to literal enumeration, and each has a guard:
 
   * Gram blocking (direct).  The Gram matrix is formed in square tiles of
@@ -43,21 +45,16 @@ equal to literal enumeration, and each has a guard:
     max|x| * 2^t < 2^53, where every product is +/-x and every partial sum
     an integer below 2^53, so the result is exact in any summation order;
     anything else takes the int64 butterfly.
-  * Per-digit Walsh product (counts, n >= 2).  The histogram of
-    <d, y> = XOR_i d_i * y_i is the XOR-convolution of the per-digit
-    histograms h_{d_i}, so it is the inverse Walsh transform of the product
-    of their transforms.  A counting fact, using no field property.  Guard:
-    each h_d for d != 0 is the bincount of a literal n = 1 table row, and
-    h_0 is the point mass 2^q at 0 (0 * y = 0), never a table row, so a
-    wrong product in any nonzero-digit row shows in the difference (d, 0).
-  * Rank (counts, n = 1).  A row y -> d * y that is GF(2)-linear in y,
-    with unit columns in range(2^q), is a permutation of the field, so its
-    histogram is all ones, exactly when its q x q matrix M(d) of unit
-    columns has rank q; one batched GF(2) elimination ranks every M(d).
-    Guard: every window table the rows are built from is first checked to
-    be linear in its column over every cell, so every row is linear in y;
-    a table that is not, a column outside range(2^q), or a short rank
-    sends all rows to the literal bincount loop.
+  * Rank (counts, every n).  When every window table is GF(2)-linear in
+    its column, the row y -> <d, y> is linear in y with q x t matrix
+    [M(d_1) | ... | M(d_n)], M(e) the unit columns of the tables' rows e.
+    If every M(e) with e != 0 has rank q and columns in range(2^q), and
+    M(0) is zero, then each d != 0 has a nonzero digit, its matrix has
+    rank q, and every value is hit 2^(t - q) times; one batched GF(2)
+    elimination ranks every M(e).  Guard: linearity is checked over every
+    cell of every window table, and the anchor <0, y> = 0 then makes M(0)
+    zero; a table that is not linear, a column outside range(2^q), or a
+    short rank sends all rows to the literal bincount loop.
   * Linearity in y (one-bit bias, q < k).  f_a(x, .) is GF(2)-linear in y,
     so a pair's spectrum is a sum of 2^q * 2^k lookups in the Walsh
     transform of the y support instead of a 4^k-cell histogram.  Guard: the
@@ -298,7 +295,10 @@ def _hadamard_direct(ctx: GFContext, n: int) -> bool:
     """
     t = ctx.q * n
     size = 1 << t
-    z = ip_value_table(ctx, n).astype(np.intp)
+    z = ip_value_table(ctx, n)
+    if int(z.max()) >> ctx.q:
+        return False   # a value outside the field: no f_a there
+    z = z.astype(np.intp)
     brow = first_bit_rows(ctx)
     parity = _parity_table(ctx.q)
     side = min(size, 1 << ((_GRAM_BLOCK_OPS.bit_length() - 1 - t) // 2))
@@ -339,37 +339,33 @@ def _hadamard_counts(ctx: GFContext, n: int) -> bool:
     counts_d is the uniform 2^(t-q) histogram the sums factor through the
     functional balances, which are checked exactly once via a Walsh
     transform; any non-uniform row falls back to an exact per-a Walsh
-    evaluation of its sums.  For n = 1 every row is uniform when the
-    window tables pass the rank check (:func:`_rank_verdicts`), and
-    otherwise each row takes a literal bincount of its inner-product row;
-    for n >= 2 the histograms come from the per-digit Walsh product
-    (:func:`_product_counts`).
+    evaluation of its sums.  The reduction rests on <0, y> = 0, so a
+    nonzero row 0 fails first.  Every row is uniform when the window tables
+    pass the rank check (:func:`_rank_verdicts`); otherwise each row takes
+    a literal bincount of its inner-product row, and a value outside
+    range(2^q) fails.
     """
     q = ctx.q
     t = q * n
+    if _ip_rows(ctx, n, np.zeros(1, dtype=np.int64)).any():
+        return False
     brow = first_bit_rows(ctx)
 
     # balances[a] = sum_v (-1)^(first bit of a*v); must vanish for a != 0.
     hist = np.bincount(brow, minlength=1 << q)
     balances = walsh_transform(hist)
     balances_ok = not np.any(balances[1:])
-    if n == 1:
-        permutations = _rank_verdicts(ctx)
-        if permutations is not None and permutations.all():
-            return balances_ok   # every row's histogram is all ones
+    permutations = _rank_verdicts(ctx)
+    if permutations is not None and permutations.all():
+        return balances_ok   # every row's histogram is uniform
 
-    spectra = _digit_spectra(ctx) if n > 1 else None
     expected = 1 << (t - q)
     ds = np.arange(1, 1 << t, dtype=np.int64)
     for start in range(0, len(ds), _ROW_CHUNK):
-        chunk = ds[start:start + _ROW_CHUNK]
-        if spectra is None:
-            z = _ip_rows(ctx, n, chunk)
-            counts = np.empty((len(chunk), 1 << q), dtype=np.int64)
-            for row in range(len(chunk)):
-                counts[row] = np.bincount(z[row], minlength=1 << q)
-        else:
-            counts = _product_counts(spectra, chunk, q, n)
+        z = _ip_rows(ctx, n, ds[start:start + _ROW_CHUNK])
+        if int(z.max()) >> q:
+            return False   # a value outside the field
+        counts = np.array([np.bincount(row, minlength=1 << q) for row in z])
         uniform = np.all(counts == expected, axis=1)
         if uniform.all():
             if not balances_ok:
@@ -407,13 +403,15 @@ def _linear_in_y(w: np.ndarray) -> bool:
 
 
 def _rank_verdicts(ctx: GFContext) -> np.ndarray | None:
-    """perm[d - 1]: the n = 1 row y -> d * y takes every value in range(2^q) once.
+    """perm[e - 1]: the digit map y -> e * y takes every value in range(2^q) once.
 
-    :func:`_ip_rows` builds row d as the XOR of the window tables' rows d,
-    so when every window table is GF(2)-linear in its column (checked over
-    every cell), so is every row, with matrix M(d) made of the tables' unit
-    columns.  Such a row with columns in range(2^q) is a bijection exactly
-    when M(d) has rank q.  None when a window table is not linear.
+    :func:`_ip_rows` builds a digit's part of a row as the XOR of the
+    window tables' rows e, so when every window table is GF(2)-linear in
+    its column (checked over every cell), so is every row, at any n, with
+    the digit's matrix M(e) made of the tables' unit columns.  Such a map
+    with columns in range(2^q) is a bijection exactly when M(e) has rank
+    q; then every row d != 0 whose zero digits contribute nothing is onto.
+    None when a window table is not linear.
     """
     q = ctx.q
     columns = []
@@ -441,35 +439,6 @@ def _gf2_ranks(columns: np.ndarray, bits: int) -> np.ndarray:
         cols ^= holds * pivot[:, None]
         ranks += holds.any(axis=1)
     return ranks
-
-
-def _digit_spectra(ctx: GFContext) -> np.ndarray:
-    """spec[d] = Walsh transform of h_d, h_d[u] = #{y : d * y = u} over q-bit y.
-
-    h_d for nonzero d is the bincount of a literal n = 1 inner-product row;
-    h_0 is the point mass 2^q at 0 (0 * y = 0), not a table row.
-    """
-    q = ctx.q
-    z = _ip_rows(ctx, 1, np.arange(1, 1 << q))
-    offsets = np.arange(1, 1 << q, dtype=np.int64)[:, None] << q
-    hist = np.bincount((z + offsets).ravel(), minlength=1 << (2 * q)).reshape(1 << q, 1 << q)
-    hist[0, 0] = 1 << q
-    return walsh_transform(hist)
-
-
-def _product_counts(spectra: np.ndarray, d_values: np.ndarray, q: int, n: int) -> np.ndarray:
-    """counts[r, v] = #{y : <d_values[r], y> = v}, by the per-digit Walsh product.
-
-    The value histogram of <d, y> = XOR_i d_i * y_i over all y is the
-    XOR-convolution of the per-digit histograms h_{d_i}, so its Walsh
-    transform is the pointwise product of their transforms; transforming
-    back and dividing by 2^q recovers the exact integer counts.
-    """
-    mask = (1 << q) - 1
-    product = spectra[d_values & mask]
-    for i in range(1, n):
-        product = product * spectra[(d_values >> (i * q)) & mask]
-    return walsh_transform(product) >> q
 
 
 # ---------- one-bit bias over flat sources ----------

@@ -37,14 +37,12 @@ from blockext.verify import (
 )
 from blockext.verify import (
     BiasReport,
-    _digit_spectra,
     _gf2_ranks,
     _ip_rows,
     _linear_spectra,
     _log_spectra,
     _log_tables,
     _parity_table,
-    _product_counts,
     _rank_verdicts,
     _support_pairs,
     _window_table,
@@ -301,8 +299,8 @@ def test_counts_fallback_rejects_nonuniform_histograms():
 def test_oracles_reject_corrupted_tables(monkeypatch):
     # Each oracle must fail, not pass vacuously, when its tables are wrong:
     # one flipped product bit for both Hadamard methods (the counts method
-    # through its non-uniform fallback), one duplicated first-bit row for
-    # the bijection check.
+    # in a window table, which sends it to its non-uniform fallback), one
+    # duplicated first-bit row for the bijection check.
     ctx = field(3)
     for method in ("counts", "direct"):
         assert check_hadamard(ctx, 2, method=method)
@@ -315,56 +313,96 @@ def test_oracles_reject_corrupted_tables(monkeypatch):
         z[0, 1] ^= 1
         return z
 
+    def flipped_window(w, base):
+        w[1, 1] ^= 1
+        return w
+
     def duplicated_first_bit_rows(ctx):
         brow = first_bit_rows(ctx)
         brow[1] = brow[2]
         return brow
 
     with monkeypatch.context() as m:
+        _patch_window_tables(m, flipped_window)
+        assert not check_hadamard(ctx, 2, method="counts")
+    with monkeypatch.context() as m:
         m.setattr(verify_mod, "_ip_rows", flipped_ip_rows)
-        for method in ("counts", "direct"):
-            assert not check_hadamard(ctx, 2, method=method)
+        assert not check_hadamard(ctx, 2, method="direct")
     with monkeypatch.context() as m:
         m.setattr(verify_mod, "first_bit_rows", duplicated_first_bit_rows)
         assert not check_first_bit_bijection(ctx)
 
 
-def test_walsh_product_counts_match_bincount():
-    # Every n >= 2 instance with t <= 12: the per-digit Walsh product gives
-    # exactly the literal value histogram of every inner-product row.
-    for q, n in hadamard_instances(12):
+def _table_variants(q):
+    """Window-table changes under which counts must still give the literal verdict."""
+    def row0_is_row1(w, base):
+        w[0] = w[1]
+        return w
+
+    def row0_leaves_range(w, base):
+        w[0, 1] ^= 1 << q
+        return w
+
+    def bent(w, base):
+        w[-1, 0] ^= 1
+        return w
+
+    return {
+        "unchanged": lambda w, base: w,
+        "low-bit-dropped": lambda w, base: w ^ (w & 1),
+        "bit0-copied-to-bit-q": lambda w, base: w ^ ((w & 1) << q),
+        "row0-is-row1": row0_is_row1,
+        "row0-leaves-range": row0_leaves_range,
+        "bent-cell": bent,
+    }
+
+
+def test_counts_verdict_equals_direct_under_table_variants(monkeypatch):
+    # Every n >= 2 instance with t <= 8: the counts verdict (rank path or
+    # literal fallback) equals the literal Gram verdict of the direct method,
+    # whether the window tables are right, lose rank, leave range(2^q), give
+    # the zero digit a nonzero row in or out of range, or are bent in one cell.
+    verdicts = set()
+    for q, n in hadamard_instances(8):
         if n < 2:
             continue
         ctx = field(q)
-        ds = np.arange(1, 1 << (q * n), dtype=np.int64)
-        spectra = _digit_spectra(ctx)
-        for start in range(0, len(ds), 512):
-            chunk = ds[start:start + 512]
-            z = _ip_rows(ctx, n, chunk).astype(np.int64)
-            offsets = np.arange(len(chunk), dtype=np.int64)[:, None] << q
-            literal = np.bincount((z + offsets).ravel(),
-                                  minlength=len(chunk) << q).reshape(len(chunk), 1 << q)
-            assert np.array_equal(_product_counts(spectra, chunk, q, n), literal), (q, n)
+        for name, variant in _table_variants(q).items():
+            with monkeypatch.context() as m:
+                _patch_window_tables(m, variant)
+                direct = check_hadamard(ctx, n, method="direct")
+                assert check_hadamard(ctx, n, method="counts") == direct, (q, n, name)
+            assert direct == (name == "unchanged"), (q, n, name)
+            verdicts.add(direct)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("q", [3, 5])
+def test_hadamard_fails_on_a_value_outside_the_field(monkeypatch, q, n):
+    # Bit 0 copied to bit q puts values at or above 2^q in the tables; both
+    # methods must answer False, not raise.
+    _patch_window_tables(monkeypatch, lambda w, base: w ^ ((w & 1) << q))
+    for method in ("counts", "direct"):
+        assert check_hadamard(field(q), n, method=method) is False, method
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_counts_fail_on_any_flipped_bit_of_a_digit_table_row(monkeypatch, q):
-    # The n >= 2 counts method reads the n = 1 table rows of the nonzero
-    # digits; one flipped product bit anywhere in them must fail the check.
+    # The n >= 2 rows are built from the window-table rows of every digit;
+    # one flipped product bit in any row d >= 1 must fail the check.
     ctx = field(q)
-    real_ip_rows = verify_mod._ip_rows
     assert check_hadamard(ctx, 2, method="counts")
     for d in range(1, 1 << q):
         for y in range(1 << q):
             for bit in range(q):
-                def flipped(ctx, n, d_values, d=d, y=y, bit=bit):
-                    z = real_ip_rows(ctx, n, d_values).copy()
-                    assert n == 1 and d_values[d - 1] == d
-                    z[d - 1, y] ^= 1 << bit
-                    return z
+                def flipped(w, base, d=d, y=y, bit=bit):
+                    w[d, y] ^= 1 << bit
+                    return w
 
-                monkeypatch.setattr(verify_mod, "_ip_rows", flipped)
-                assert not check_hadamard(ctx, 2, method="counts"), (d, y, bit)
+                with monkeypatch.context() as m:
+                    _patch_window_tables(m, flipped)
+                    assert not check_hadamard(ctx, 2, method="counts"), (d, y, bit)
 
 
 def _literal_permutation_rows(ctx):
