@@ -16,16 +16,16 @@ exact integer or float quantities; nothing is estimated.  The checks:
   * :func:`check_first_bit_bijection` - S -> a matching of the linear
     functionals z -> parity(S & z) with z -> first bit of a * z.
 
-Two methods back :func:`check_hadamard`.  "direct" literally forms the
+Two methods back :func:`check_hadamard`.  "counts", the default and the
+only one `verify` runs, decides every n at once by a GF(2) rank of the
+window tables (the Rank identity below).  "direct" literally forms the
 +/-1 row matrix of every f_a and checks its Gram matrix, with zero
-structural shortcuts; it is quadratic in the 2^t inputs and used up to
-t = 8 by default.  "counts" histograms the exact value distribution of
-<d, y> over all y for every nonzero difference d and reduces the pair sums
-to those histograms; the reduction uses only the XOR-linearity of the inner
-product and of the first-bit functionals, identities that the test suite
-property-checks independently.  Its anchor, <0, y> = 0 for every y, is
-read off the tables and checked first.  Both methods fail a table holding
-a value outside range(2^q).
+structural shortcuts; it is quadratic in the 2^t inputs, feasible up to
+t = 12, and kept as the literal reference the tests compare against.
+Counts is one-sided: it fails every table that is not bilinear, even one
+that direct passes because its rows only relabel a passing table's rows,
+so it never passes a table that direct fails.  Both methods fail a table
+holding a value outside range(2^q).
 
 Six identities make the oracles fast; each keeps its result exact and
 equal to literal enumeration, and each has a guard:
@@ -45,16 +45,15 @@ equal to literal enumeration, and each has a guard:
     max|x| * 2^t < 2^53, where every product is +/-x and every partial sum
     an integer below 2^53, so the result is exact in any summation order;
     anything else takes the int64 butterfly.
-  * Rank (counts, every n).  When every window table is GF(2)-linear in
-    its column, the row y -> <d, y> is linear in y with q x t matrix
+  * Rank (counts, every n).  When every window table is GF(2)-bilinear,
+    <x, y> is bilinear and the row y -> <d, y> has q x t matrix
     [M(d_1) | ... | M(d_n)], M(e) the unit columns of the tables' rows e.
-    If every M(e) with e != 0 has rank q and columns in range(2^q), and
-    M(0) is zero, then each d != 0 has a nonzero digit, its matrix has
-    rank q, and every value is hit 2^(t - q) times; one batched GF(2)
-    elimination ranks every M(e).  Guard: linearity is checked over every
-    cell of every window table, and the anchor <0, y> = 0 then makes M(0)
-    zero; a table that is not linear, a column outside range(2^q), or a
-    short rank sends all rows to the literal bincount loop.
+    The row d = (e, 0, ...) has the rank of M(e), so every row d != 0 is
+    onto, each value hit 2^(t - q) times, exactly when every M(e) with
+    e != 0 has rank q and columns in range(2^q); one batched GF(2)
+    elimination ranks every M(e).  Guard: bilinearity is checked over every
+    cell of every window table, on both axes; a table that is not bilinear,
+    a column outside range(2^q) or a short rank fails.
   * Linearity in y (one-bit bias, q < k).  f_a(x, .) is GF(2)-linear in y,
     so a pair's spectrum is a sum of 2^q * 2^k lookups in the Walsh
     transform of the y support instead of a 4^k-cell histogram.  Guard: the
@@ -93,7 +92,6 @@ from .params import LOG2_SQRT3
 
 MAX_HADAMARD_BITS = 16
 MAX_DENSE_BITS = 12       # full 2^t x 2^t inner-product tables
-DIRECT_METHOD_BITS = 8
 _ROW_CHUNK = 512
 _LOOKUP_BATCH = 1 << 16   # one-bit bias: table entries per batch of support pairs
 _GRAM_BLOCK_OPS = 1 << 18  # multiply-adds per float product; OpenBLAS threads above this
@@ -271,15 +269,18 @@ def ip_value_table(ctx: GFContext, n: int) -> np.ndarray:
 
 # ---------- hadamard property ----------
 
-def check_hadamard(ctx: GFContext, n: int, method: str = "auto") -> bool:
-    """Whether every f_a has exactly uncorrelated rows (zero tolerance)."""
-    t = _feasible(ctx, n, MAX_HADAMARD_BITS, "hadamard check")
-    if method == "auto":
-        method = "direct" if t <= DIRECT_METHOD_BITS else "counts"
+def check_hadamard(ctx: GFContext, n: int, method: str = "counts") -> bool:
+    """Whether every f_a has exactly uncorrelated rows (zero tolerance).
+
+    "counts" (the default) is the rank verdict over bilinear window tables
+    and fails any table that is not bilinear; "direct" is the literal Gram
+    check, for t <= 12.
+    """
+    _feasible(ctx, n, MAX_HADAMARD_BITS, "hadamard check")
     if method == "direct":
         return _hadamard_direct(ctx, n)
     if method == "counts":
-        return _hadamard_counts(ctx, n)
+        return _hadamard_counts(ctx)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -329,59 +330,23 @@ def _parity_table(q: int) -> np.ndarray:
     return (p & 1).astype(np.uint8)
 
 
-def _hadamard_counts(ctx: GFContext, n: int) -> bool:
-    """Histogram check over pair differences.
+def _hadamard_counts(ctx: GFContext) -> bool:
+    """Rank verdict over bilinear window tables, one-sided by design.
 
     For nonzero d, the pair sum at (x, x + d) equals
     sum_v counts_d[v] * (-1)^(first bit of a*v) with
     counts_d[v] = #{y : <d, y> = v}, by XOR-linearity of the inner product
-    and the first-bit functionals (property-tested separately).  When
-    counts_d is the uniform 2^(t-q) histogram the sums factor through the
+    and the first-bit functionals (property-tested separately).  When every
+    counts_d is the uniform 2^(t-q) histogram, the sums factor through the
     functional balances, which are checked exactly once via a Walsh
-    transform; any non-uniform row falls back to an exact per-a Walsh
-    evaluation of its sums.  The reduction rests on <0, y> = 0, so a
-    nonzero row 0 fails first.  Every row is uniform when the window tables
-    pass the rank check (:func:`_rank_verdicts`); otherwise each row takes
-    a literal bincount of its inner-product row, and a value outside
-    range(2^q) fails.
+    transform.  :func:`_rank_verdicts` decides uniformity for every d at
+    once, and for every n, when the window tables are bilinear; a table
+    that is not fails, even one whose rows relabel a passing table's rows.
+    So this never passes a table that the direct method fails.
     """
-    q = ctx.q
-    t = q * n
-    if _ip_rows(ctx, n, np.zeros(1, dtype=np.int64)).any():
-        return False
-    brow = first_bit_rows(ctx)
-
-    # balances[a] = sum_v (-1)^(first bit of a*v); must vanish for a != 0.
-    hist = np.bincount(brow, minlength=1 << q)
-    balances = walsh_transform(hist)
-    balances_ok = not np.any(balances[1:])
-    permutations = _rank_verdicts(ctx)
-    if permutations is not None and permutations.all():
-        return balances_ok   # every row's histogram is uniform
-
-    expected = 1 << (t - q)
-    ds = np.arange(1, 1 << t, dtype=np.int64)
-    for start in range(0, len(ds), _ROW_CHUNK):
-        z = _ip_rows(ctx, n, ds[start:start + _ROW_CHUNK])
-        if int(z.max()) >> q:
-            return False   # a value outside the field
-        counts = np.array([np.bincount(row, minlength=1 << q) for row in z])
-        uniform = np.all(counts == expected, axis=1)
-        if uniform.all():
-            if not balances_ok:
-                return False
-            continue
-        # Exact fallback for the non-uniform rows (and the uniform ones are
-        # still governed by the balances).
-        if not balances_ok and uniform.any():
-            return False
-        for row in np.nonzero(~uniform)[0]:
-            grouped = np.bincount(brow, weights=counts[row].astype(np.float64),
-                                  minlength=1 << q)
-            sums = walsh_transform(np.rint(grouped).astype(np.int64))
-            if np.any(sums[1:]):
-                return False
-    return True
+    balances = walsh_transform(np.bincount(first_bit_rows(ctx), minlength=1 << ctx.q))
+    verdicts = _rank_verdicts(ctx)
+    return verdicts is not None and bool(verdicts.all()) and not np.any(balances[1:])
 
 
 def _linear_in_y(w: np.ndarray) -> bool:
@@ -389,7 +354,7 @@ def _linear_in_y(w: np.ndarray) -> bool:
 
     Checked over every cell, in blocks of _ROW_CHUNK rows: column y + 2^j
     must equal column y XOR column 2^j for every y < 2^j (j = 0 forces
-    column 0 to be zero).
+    column 0 to be zero).  Pass w.T to check the row index.
     """
     size = w.shape[1]
     for start in range(0, len(w), _ROW_CHUNK):
@@ -406,18 +371,19 @@ def _rank_verdicts(ctx: GFContext) -> np.ndarray | None:
     """perm[e - 1]: the digit map y -> e * y takes every value in range(2^q) once.
 
     :func:`_ip_rows` builds a digit's part of a row as the XOR of the
-    window tables' rows e, so when every window table is GF(2)-linear in
-    its column (checked over every cell), so is every row, at any n, with
-    the digit's matrix M(e) made of the tables' unit columns.  Such a map
-    with columns in range(2^q) is a bijection exactly when M(e) has rank
-    q; then every row d != 0 whose zero digits contribute nothing is onto.
-    None when a window table is not linear.
+    window tables' rows e.  When every window table is GF(2)-bilinear
+    (linear in its column and in its row, checked over every cell), so is
+    <x, y> at any n, with the digit's matrix M(e) made of the tables' unit
+    columns; row 0 is then zero.  Such a map with columns in range(2^q) is
+    a bijection exactly when M(e) has rank q, and the row d = (e, 0, ...)
+    has the rank of M(e); so every row d != 0 is onto exactly when every
+    e != 0 passes.  None when a window table is not bilinear.
     """
     q = ctx.q
     columns = []
     for base, width in _windows(q):
         w = _window_table(ctx, base, width)
-        if not _linear_in_y(w):
+        if not (_linear_in_y(w) and _linear_in_y(w.T)):
             return None
         columns.append(w[1:, 1 << np.arange(width)])
     m = np.concatenate(columns, axis=1)

@@ -2,7 +2,7 @@
 
 The reference checker below evaluates the pair correlations by the raw
 triple loop over (a, x, x', y) with nothing but ctx.mul and ext_ip, so the
-packaged methods (Gram-matrix "direct" and histogram "counts") are both
+packaged methods (Gram-matrix "direct" and rank "counts") are both
 validated against an implementation with zero shared structure.  The
 XOR-linearity identities that justify the counts method's pair-to-
 difference reduction are property-tested here as well.
@@ -284,23 +284,11 @@ def test_direct_fails_on_one_flipped_cell_in_any_row_tile(monkeypatch, row):
     assert not check_hadamard(ctx, 1, method="direct")
 
 
-def test_counts_fallback_rejects_nonuniform_histograms():
-    # A non-uniform value histogram with nonzero signed sums must fail; the
-    # grouped-Walsh evaluation the fallback uses is checked on a fabricated
-    # histogram here.
-    ctx = field(2)
-    brow = first_bit_rows(ctx)
-    counts = np.array([3, 1, 0, 0], dtype=np.int64)   # not uniform
-    grouped = np.bincount(brow, weights=counts.astype(np.float64), minlength=4)
-    sums = walsh_transform(np.rint(grouped).astype(np.int64))
-    assert np.any(sums[1:])
-
-
 def test_oracles_reject_corrupted_tables(monkeypatch):
     # Each oracle must fail, not pass vacuously, when its tables are wrong:
     # one flipped product bit for both Hadamard methods (the counts method
-    # in a window table, which sends it to its non-uniform fallback), one
-    # duplicated first-bit row for the bijection check.
+    # in a window table, which is then not bilinear), one duplicated
+    # first-bit row for the bijection check.
     ctx = field(3)
     for method in ("counts", "direct"):
         assert check_hadamard(ctx, 2, method=method)
@@ -347,6 +335,11 @@ def _table_variants(q):
         w[-1, 0] ^= 1
         return w
 
+    def row3_is_row5(w, base):
+        if len(w) > 5:
+            w[3] = w[5]
+        return w
+
     return {
         "unchanged": lambda w, base: w,
         "low-bit-dropped": lambda w, base: w ^ (w & 1),
@@ -354,27 +347,58 @@ def _table_variants(q):
         "row0-is-row1": row0_is_row1,
         "row0-leaves-range": row0_leaves_range,
         "bent-cell": bent,
+        "row3-is-row5": row3_is_row5,
     }
 
 
 def test_counts_verdict_equals_direct_under_table_variants(monkeypatch):
-    # Every n >= 2 instance with t <= 8: the counts verdict (rank path or
-    # literal fallback) equals the literal Gram verdict of the direct method,
-    # whether the window tables are right, lose rank, leave range(2^q), give
-    # the zero digit a nonzero row in or out of range, or are bent in one cell.
+    # Every instance with t <= 8, n = 1 included: the counts verdict equals
+    # the literal Gram verdict of the direct method, whether the window
+    # tables are right, lose rank, leave range(2^q), give the zero digit a
+    # nonzero row in or out of range, are bent in one cell, or repeat a row
+    # (q >= 3; at q < 3 that variant leaves the tables unchanged).
     verdicts = set()
     for q, n in hadamard_instances(8):
-        if n < 2:
-            continue
         ctx = field(q)
         for name, variant in _table_variants(q).items():
             with monkeypatch.context() as m:
                 _patch_window_tables(m, variant)
                 direct = check_hadamard(ctx, n, method="direct")
                 assert check_hadamard(ctx, n, method="counts") == direct, (q, n, name)
-            assert direct == (name == "unchanged"), (q, n, name)
+            unchanged = name == "unchanged" or (name == "row3-is-row5" and q < 3)
+            assert direct == unchanged, (q, n, name)
             verdicts.add(direct)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q, n", [(3, 1), (5, 1), (3, 2)])
+def test_counts_fail_on_swapped_rows_that_direct_passes(monkeypatch, q, n):
+    # Swapping window rows 1 and 2 only relabels the rows x, so the Hadamard
+    # property still holds and the literal Gram check passes; the table is
+    # no longer linear in its row, and counts fails it by design.
+    def swapped(w, base):
+        w[[1, 2]] = w[[2, 1]]
+        return w
+
+    _patch_window_tables(monkeypatch, swapped)
+    assert check_hadamard(field(q), n, method="direct") is True
+    assert check_hadamard(field(q), n, method="counts") is False
+
+
+def test_counts_fail_on_unbalanced_first_bit_functionals(monkeypatch):
+    # With bilinear window tables of full rank, the balances of the
+    # first-bit functionals decide the verdict: a duplicated first-bit row
+    # leaves some functional unbalanced, and both methods must fail.
+    def duplicated_first_bit_rows(ctx):
+        brow = real(ctx)
+        brow[1] = brow[2]
+        return brow
+
+    real = verify_mod.first_bit_rows
+    monkeypatch.setattr(verify_mod, "first_bit_rows", duplicated_first_bit_rows)
+    assert _rank_verdicts(field(3)).all()
+    for method in ("counts", "direct"):
+        assert check_hadamard(field(3), 1, method=method) is False, method
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -478,13 +502,14 @@ def test_counts_fail_on_any_flipped_bit_of_an_n1_table_row(monkeypatch, q):
                     assert not check_hadamard(ctx, 1, method="counts"), (d, y, bit)
 
 
-def test_counts_on_flipped_bits_of_both_q9_windows_match_literal_histograms(monkeypatch):
-    # q = 9 splits y into windows of 8 bits and 1 bit.  A flipped bit in the
-    # 1-bit window's unit column leaves its table linear, and the rows stay
-    # bijections exactly when M(d) keeps rank 9; some flips of either window
-    # keep every row a bijection, so the Hadamard property holds for the
-    # flipped table.  The verdict must be the literal one: pass exactly when
-    # every row's value histogram is all ones.
+def test_counts_fail_on_flipped_bits_of_both_q9_windows(monkeypatch):
+    # q = 9 splits y into windows of 8 bits and 1 bit.  A flipped bit in
+    # the 1-bit window's unit column leaves that table linear in its column
+    # but not in its row, and some flips of either window keep every row a
+    # bijection.  The tables are then not bilinear, so a pair sum need not
+    # reduce to one row's histogram: every flip must fail counts, and each
+    # flip that keeps every row a bijection must fail the literal Gram
+    # check too.
     q = 9
     ctx = field(q)
     rng = random.Random(9)
@@ -500,9 +525,11 @@ def test_counts_on_flipped_bits_of_both_q9_windows_match_literal_histograms(monk
 
             with monkeypatch.context() as m:
                 _patch_window_tables(m, flipped)
-                literal = bool(_literal_permutation_rows(ctx).all())
-                assert check_hadamard(ctx, 1, method="counts") == literal, (base, d, u, bit)
-            outcomes.add((base, u == 0, literal))
+                assert check_hadamard(ctx, 1, method="counts") is False, (base, d, u, bit)
+                bijective = bool(_literal_permutation_rows(ctx).all())
+                if bijective:
+                    assert check_hadamard(ctx, 1, method="direct") is False, (base, d, u, bit)
+            outcomes.add((base, u == 0, bijective))
     assert {(0, False, False), (8, True, False), (8, False, False),
             (8, False, True)} <= outcomes
 
