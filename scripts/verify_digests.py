@@ -6,8 +6,9 @@ hadamard --max-bits 16` for seeds 0-3, and the cheaper `verify --suite all
 --max-bits 10` for seeds 0-1, and prints a JSON object that maps each
 argument list to the SHA-256 of the bytes the command printed.  The shipped
 digests are in tests/data/verify_digests.json, and tests/test_verify.py
-replays the `--max-bits 10` runs; a diff against that file means a change
-to what `verify` prints.
+replays the `--max-bits 10` runs and `--suite hadamard --max-bits 16
+--seed 0`; a diff against that file means a change to what `verify`
+prints.
 
     PYTHONPATH=src python scripts/verify_digests.py > tests/data/verify_digests.json
 """

@@ -318,24 +318,38 @@ class Extraction:
 
         Chunk bits are concatenated in block order and packed little-endian
         into bytes; each chunk's completed bytes are written as soon as it
-        is made.  The final partial byte is zero-padded, `sink` is flushed
-        if it can be, and the pad length is recorded in the report.  A write
-        or flush that fails ends the run as ``interrupted``, with no pad.
+        is made, in full even when `sink` takes only part of a write.  The
+        final partial byte is zero-padded, `sink` is flushed if it can be,
+        and the pad length is recorded in the report.  A write or flush that
+        fails ends the run as ``interrupted``, with no pad.
         """
         writer = BitWriter()
         with self._session():
             for chunk in self._chunks():
                 if sink is not None and (data := writer.write_bits(chunk.bits, chunk.width)):
-                    sink.write(data)
+                    _write_all(sink, data)
             if sink is not None:
                 data, pad = writer.getvalue()
                 if data:
-                    sink.write(data)
+                    _write_all(sink, data)
                 if hasattr(sink, "flush"):
                     sink.flush()
         if sink is not None:
             self.report.pad_bits = pad
         return self.report
+
+
+def _write_all(sink, data: bytes) -> None:
+    """Write all of `data`, again after a short write.
+
+    A raw sink may take fewer bytes than it is given (`io.RawIOBase.write`
+    returns the count).  A write that takes no bytes raises OSError; one
+    that returns None, as duck-typed sinks do, took everything.
+    """
+    while (written := sink.write(data)) is not None and written < len(data):
+        if written < 1:
+            raise OSError(f"sink took no bytes of {len(data)}")
+        data = data[written:]
 
 
 def _check_workers(workers: int) -> None:

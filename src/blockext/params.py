@@ -171,7 +171,7 @@ def plan_eq(bits_per_sample: int, num_samples: int, entropy_rate, epsilon) -> Eq
     b = bits_per_sample
     threshold = Fraction(num_samples) / (epsilon * n)  # need 2^q >= this
     q = b
-    while (1 << q) < threshold:
+    while (1 << q) < threshold and q <= MAX_FIELD_BITS:   # past the cap, q is refused below
         q += b
     log2_eps = log2_fraction(epsilon)
     while True:

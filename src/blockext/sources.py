@@ -245,8 +245,10 @@ def _certify_joint(model: SourceModel) -> MinEntropyCertificate:
 def parse_model(config: dict) -> SourceModel:
     """Build a model from a parsed JSON config dict.
 
-    A config that is not an object, or lacks a key its kind needs, raises
-    ValueError naming the problem.
+    A config that is not an object, lacks a key its kind needs, or gives
+    `b` or `seed` as anything but an integer (a bool, 2.5), raises
+    ValueError naming the problem.  Integral numbers and numeric strings
+    are taken.
     """
     if not isinstance(config, dict):
         raise ValueError(f"source config must be a JSON object, not {type(config).__name__}")
@@ -257,8 +259,18 @@ def parse_model(config: dict) -> SourceModel:
             raise ValueError(f"source config of kind {kind!r} needs the key {key!r}")
         return config[key]
 
-    seed = int(config.get("seed", 0))
-    b = int(config.get("b", config.get("bits_per_sample", 1)))
+    def integer(key: str, default: int) -> int:
+        value = config.get(key, default)
+        refused = ValueError(f"source config key {key!r} must be an integer, got {value!r}")
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise refused
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise refused from None
+
+    seed = integer("seed", 0)
+    b = integer("b" if "b" in config else "bits_per_sample", 1)
     if kind == "iid-biased":
         return iid_biased(float(need("p")), seed=seed)
     if kind == "iid-table":

@@ -41,10 +41,9 @@ equal to literal enumeration, and each has a guard:
   * Sylvester factors (Walsh transform).  H_(2^t) = H_m1 (x) H_m2 with
     m1 = 2^ceil(t/2) and m2 = 2^floor(t/2), so a row read as an m1 x m2
     matrix X transforms to H_m1 X H_m2: two float64 products, each at most
-    2^18 multiply-adds.  Guard: taken only for lengths up to 2^12 and
-    max|x| * 2^t < 2^53, where every product is +/-x and every partial sum
-    an integer below 2^53, so the result is exact in any summation order;
-    anything else takes the int64 butterfly.
+    2^18 multiply-adds.  Precondition, else ValueError: length at most 2^12
+    and max|x| * 2^t < 2^53, so every product is +/-x and every partial sum
+    an integer below 2^53, exact in any summation order.
   * Rank (counts, every n).  When every window table is GF(2)-bilinear,
     <x, y> is bilinear and the row y -> <d, y> has q x t matrix
     [M(d_1) | ... | M(d_n)], M(e) the unit columns of the tables' rows e.
@@ -65,8 +64,8 @@ equal to literal enumeration, and each has a guard:
     two log indicators, plus the zero cell in closed form; it is taken by
     FFT for a batch of pairs and rounded.  Guard: g is read off the table
     and every cell is checked against exp[log x + log y] (row 0 and column 0
-    zero); a table that fails, q = 1, or a convolution value 1/4 or more
-    from an integer takes the literal path.
+    zero); a table that fails, or q = 1, takes the literal path.  A
+    convolution value 1/4 or more from an integer raises ArithmeticError.
 
 Every inner-product table is assembled from window tables: for each digit
 of the multiplier and each window of at most 8 of its bits, the products of
@@ -95,7 +94,6 @@ MAX_DENSE_BITS = 12       # full 2^t x 2^t inner-product tables
 _ROW_CHUNK = 512
 _LOOKUP_BATCH = 1 << 16   # one-bit bias: table entries per batch of support pairs
 _GRAM_BLOCK_OPS = 1 << 18  # multiply-adds per float product; OpenBLAS threads above this
-_SYLVESTER_BITS = 12      # longest Walsh transform taken by Sylvester factors: 2^12
 EXHAUSTIVE_LIMIT = 10**5  # one-bit bias: enumerate supports up to this many
 SAMPLED_PAIRS = 200       # one-bit bias: seeded support pairs tested otherwise
 _SUPPORT_DRAWS = 32       # one-bit bias: draws kept, all of `verify --suite bias` at t <= 12
@@ -142,29 +140,31 @@ def first_bit_rows(ctx: GFContext) -> np.ndarray:
 def walsh_transform(rows: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (exact, int64).
 
-    out[..., a] = sum_w rows[..., w] * (-1)^popcount(a & w).  Lengths up to
-    2^_SYLVESTER_BITS whose values have max|x| * length < 2^53 go through
-    the Sylvester factors (:func:`_sylvester_walsh`); the rest through an
-    int64 butterfly.
+    out[..., a] = sum_w rows[..., w] * (-1)^popcount(a & w).  Each row,
+    read as an m1 x m2 matrix X (m1 = 2^ceil(t/2), m2 = 2^floor(t/2)),
+    transforms to H_m1 X H_m2 in float64, in batches of rows whose right
+    product and each left-product matrix take at most _GRAM_BLOCK_OPS
+    multiply-adds.  The length must be a power of two up to
+    2^MAX_DENSE_BITS and max|x| * length below 2^53, else ValueError: then
+    every product is +/-x and every partial sum an integer below 2^53,
+    exact in any summation order.
     """
     a = np.asarray(rows, dtype=np.int64)
     n = a.shape[-1]
-    if n & (n - 1):
-        raise ValueError("length must be a power of two")
-    if (n <= 1 << _SYLVESTER_BITS and a.size
-            and max(-int(a.min()), int(a.max())) * n < 1 << 53):
-        return _sylvester_walsh(a)
-    a = np.array(a, order="C")  # a C-contiguous copy: reshape is a view
-    h = 1
-    while h < n:
-        # In place on a view of the fresh copy: (lo, hi) -> (lo + hi, lo - hi).
-        b = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        lo, hi = b[..., 0, :], b[..., 1, :]
-        lo += hi
-        hi *= -2
-        hi += lo
-        h *= 2
-    return a
+    if not 0 < n <= 1 << MAX_DENSE_BITS or n & (n - 1):
+        raise ValueError(f"length must be a power of two up to 2^{MAX_DENSE_BITS}, got {n}")
+    if max(-int(a.min(initial=0)), int(a.max(initial=0))) * n >= 1 << 53:
+        raise ValueError("max|x| * length must be below 2^53 for an exact transform")
+    m2 = 1 << ((n.bit_length() - 1) // 2)
+    m1 = n // m2
+    h1, h2 = _sylvester(m1), _sylvester(m2)
+    flat = a.reshape(-1, n)
+    out = np.empty(flat.shape, dtype=np.int64)
+    step = max(1, _GRAM_BLOCK_OPS // (n * m1))
+    for start in range(0, len(flat), step):
+        x = flat[start:start + step].reshape(-1, m2).astype(np.float64)
+        out[start:start + step] = np.matmul(h1, np.matmul(x, h2).reshape(-1, m1, m2)).reshape(-1, n)
+    return out.reshape(a.shape)
 
 
 @cache
@@ -179,29 +179,6 @@ def _sylvester(size: int) -> np.ndarray:
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
     return h
-
-
-def _sylvester_walsh(a: np.ndarray) -> np.ndarray:
-    """Walsh transform of the int64 rows `a` by H_(m1 m2) = H_m1 (x) H_m2.
-
-    Each row, read as an m1 x m2 matrix X (m1 = 2^ceil(t/2), m2 =
-    2^floor(t/2)), transforms to H_m1 X H_m2, in float64.  Rows go in
-    batches small enough that the right product and each matrix of the
-    batched left product take at most _GRAM_BLOCK_OPS multiply-adds.  The
-    caller guarantees max|x| * 2^t < 2^53, so every product is +/-x and
-    every partial sum an integer below 2^53: exact in any summation order.
-    """
-    n = a.shape[-1]
-    m2 = 1 << ((n.bit_length() - 1) // 2)
-    m1 = n // m2
-    h1, h2 = _sylvester(m1), _sylvester(m2)
-    rows = a.reshape(-1, n)
-    out = np.empty(rows.shape, dtype=np.int64)
-    step = max(1, _GRAM_BLOCK_OPS // (n * m1))
-    for start in range(0, len(rows), step):
-        x = rows[start:start + step].reshape(-1, m2).astype(np.float64)
-        out[start:start + step] = np.matmul(h1, np.matmul(x, h2).reshape(-1, m1, m2)).reshape(-1, n)
-    return out.reshape(a.shape)
 
 
 def _feasible(ctx: GFContext, n: int, cap: int, what: str) -> int:
@@ -338,15 +315,17 @@ def _hadamard_counts(ctx: GFContext) -> bool:
     counts_d[v] = #{y : <d, y> = v}, by XOR-linearity of the inner product
     and the first-bit functionals (property-tested separately).  When every
     counts_d is the uniform 2^(t-q) histogram, the sums factor through the
-    functional balances, which are checked exactly once via a Walsh
-    transform.  :func:`_rank_verdicts` decides uniformity for every d at
-    once, and for every n, when the window tables are bilinear; a table
-    that is not fails, even one whose rows relabel a passing table's rows.
-    So this never passes a table that the direct method fails.
+    functional balances, the Walsh spectrum of the histogram of
+    :func:`first_bit_rows`; it vanishes off a = 0 exactly when the
+    histogram is flat, so they are checked as one permutation count.
+    :func:`_rank_verdicts` decides uniformity for every d at once, and for
+    every n, when the window tables are bilinear; a table that is not
+    fails, even one whose rows relabel a passing table's rows.  So this
+    never passes a table that the direct method fails.
     """
-    balances = walsh_transform(np.bincount(first_bit_rows(ctx), minlength=1 << ctx.q))
+    balanced = np.all(np.bincount(first_bit_rows(ctx), minlength=1 << ctx.q) == 1)
     verdicts = _rank_verdicts(ctx)
-    return verdicts is not None and bool(verdicts.all()) and not np.any(balances[1:])
+    return verdicts is not None and bool(verdicts.all()) and bool(balanced)
 
 
 def _linear_in_y(w: np.ndarray) -> bool:
@@ -472,17 +451,12 @@ def bias_reports(ctx: GFContext, n: int, ks: Sequence[int], *,
             step = max(1, _LOOKUP_BATCH // max(size, support << ctx.q))
 
         denom = float(support) * float(support)
-        max_bias = None
+        max_bias = 0.0
         if batched is not None:
-            max_bias = 0.0
             for start in range(0, len(x_sets), step):
                 spectra = batched(x_sets[start:start + step], y_sets[start:start + step])
-                if spectra is None:   # a convolution that did not round: enumerate
-                    max_bias = None
-                    break
                 max_bias = max(max_bias, float(np.abs(spectra[:, 1:]).max()) / denom)
-        if max_bias is None:
-            max_bias = 0.0
+        else:
             w_of_z = brow[z]  # map each (x, y) cell straight to its functional group
             for sx, sy in zip(x_sets, y_sets):
                 grouped = np.bincount(w_of_z[np.ix_(sx, sy)].ravel(), minlength=1 << ctx.q)
@@ -592,16 +566,17 @@ def _log_tables(z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _log_spectra(logs: tuple[np.ndarray, np.ndarray], brow: np.ndarray,
-                 sx: np.ndarray, sy: np.ndarray) -> np.ndarray | None:
+                 sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """spectra[p, a] = sum over sx[p] x sy[p] of (-1)^parity(a & brow[x * y]), n = 1.
 
     For nonzero x and y, log(x * y) = log x + log y mod 2^q - 1, so the
     histogram of the nonzero products is the cyclic convolution of the log
     indicators of sx[p] and sy[p], taken by FFT and rounded; the zero cell
     counts the rest of the 4^k pairs.  The counts are grouped by brow and
-    Walsh transformed.  None when a convolution value lies 1/4 or more from
-    an integer: the exact values are counts of at most 2^12 over at most
-    4095 terms, far inside float64's rounding.
+    Walsh transformed.  ArithmeticError when a convolution value lies 1/4
+    or more from an integer, which cannot happen: the exact values are
+    counts of at most 2^12 over at most 4095 terms, far inside float64's
+    rounding.
     """
     exp, log = logs
     order = len(exp)
@@ -616,7 +591,7 @@ def _log_spectra(logs: tuple[np.ndarray, np.ndarray], brow: np.ndarray,
                         np.fft.rfft(indicators[1][:, :order]), n=order)
     counts = np.rint(conv)
     if np.any(np.abs(conv - counts) >= 0.25):
-        return None
+        raise ArithmeticError("discrete-log convolution did not round to integers")
     nonzero = [sx.shape[1] - indicator[:, order] for indicator in indicators]
     zero_cell = sx.shape[1] * sy.shape[1] - nonzero[0] * nonzero[1]
     keys = brow[exp][None, :] + (rows << q)

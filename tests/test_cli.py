@@ -516,7 +516,10 @@ def test_simulate_markov_certificate(tmp_path, capsys):
     ({"kind": "iid-biased"}, "needs the key 'p'"),
     ({"kind": "markov", "b": 1}, "needs the key 'transitions'"),
     ([{"kind": "iid-biased", "p": 0.5}], "must be a JSON object"),
-], ids=["no-p", "no-transitions", "not-an-object"])
+    ({"kind": "uniform", "b": 2.5}, "'b' must be an integer"),
+    ({"kind": "uniform", "b": True}, "'b' must be an integer"),
+    ({"kind": "uniform", "b": 8, "seed": 1.9}, "'seed' must be an integer"),
+], ids=["no-p", "no-transitions", "not-an-object", "b-fraction", "b-bool", "seed-fraction"])
 def test_simulate_malformed_config_is_usage_error(tmp_path, capsys, config, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

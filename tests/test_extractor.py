@@ -337,6 +337,41 @@ def test_sink_failing_mid_run_leaves_a_prefix_and_an_interrupted_report(mode):
             c.width for c in extract(xb, yb, plan, max_blocks=rep.blocks_completed))
 
 
+class ShortSink:
+    """Takes only part of each write, as `io.RawIOBase.write` may."""
+
+    def __init__(self, take):
+        self.data = bytearray()
+        self.take = take
+
+    def write(self, data):
+        taken = self.take(len(data))
+        self.data += data[:taken]
+        return taken
+
+
+def test_short_writes_are_written_again_until_complete():
+    rnd = random.Random(22)
+    xb, yb = rnd.randbytes(32768), rnd.randbytes(32768)
+    plan = plan_eq(16, 16384, "10.74/16", "2^-20")   # q = 32
+    whole = io.BytesIO()
+    extract_eq(xb, yb, plan).run(whole)
+    sink = ShortSink(lambda size: (size + 1) // 2)
+    rep = extract_eq(xb, yb, plan).run(sink)
+    assert rep.stop_reason == "completed"
+    assert bytes(sink.data) == whole.getvalue()
+    assert 8 * len(sink.data) == rep.output_bits + rep.pad_bits > 3000
+
+
+def test_a_sink_that_takes_no_bytes_interrupts_the_run():
+    rnd = random.Random(23)
+    plan = tiny_eq_plan(8, 300, "3/4", 6, 12)
+    run = extract_eq(rnd.randbytes(300), rnd.randbytes(300), plan)
+    with pytest.raises(OSError):
+        run.run(ShortSink(lambda size: 0))
+    assert run.report.stop_reason == "interrupted" and run.report.pad_bits is None
+
+
 def test_failing_final_flush_reports_interrupted():
     rnd = random.Random(21)
     plan = tiny_eq_plan(8, 300, "3/4", 6, 12)   # 33 blocks of 12 bits: 4 pad bits

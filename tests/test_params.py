@@ -64,6 +64,13 @@ def test_capacity_errors():
         plan_neq(16, "3/4", first_field_bits=144)
 
 
+def test_width_search_stops_at_the_first_width_past_the_cap():
+    # 2^100000 samples would need a width near 100032 bits; the search
+    # stops at the first multiple of b past the 128-bit cap and names it.
+    with pytest.raises(CapacityError, match="derived field width 144 "):
+        plan_eq(16, 2**100_000, "10.74/16", "2^-30")
+
+
 def test_float_rate_rejected():
     with pytest.raises(TypeError):
         plan_eq(16, 2**40, 0.67125, "2^-30")

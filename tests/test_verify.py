@@ -101,28 +101,30 @@ def _butterfly(rows):
     return a
 
 
-def test_walsh_transform_equals_the_integer_butterfly(monkeypatch):
-    # Random 1-D and 2-D inputs of every length 2^0 .. 2^13, on both sides of
-    # the Sylvester path's guard (length <= 2^12 and max|x| * length < 2^53).
-    # Inputs past the guard must take the butterfly and stay exact.
-    calls = []
-    real = verify_mod._sylvester_walsh
-    monkeypatch.setattr(verify_mod, "_sylvester_walsh",
-                        lambda a: calls.append(a.shape) or real(a))
+def test_walsh_transform_equals_the_integer_butterfly():
+    # Random 1-D and 2-D inputs of every length 2^0 .. 2^12, up to the edge
+    # of the exact domain (max|x| * length < 2^53), equal the butterfly.
+    # Past that domain, at length 2^13 or at max|x| * length = 2^53, the
+    # transform raises instead of rounding.
     rng = np.random.default_rng(17)
-    for t in range(14):
+    for t in range(13):
         n = 1 << t
-        limit = (1 << 53) // n   # max|x| below this takes the Sylvester path
+        limit = (1 << 53) // n   # max|x| must stay below this
         for shape in ((n,), (3, n)):
-            for high in (1 << 20, limit - 1, limit):
+            for high in (1 << 20, limit - 1):
                 rows = rng.integers(-high, high, size=shape, endpoint=True)
-                rows.flat[0] = high   # pin max|x| on the chosen side of the guard
-                calls.clear()
+                rows.flat[0] = -high   # pin max|x| at the chosen edge
                 got = walsh_transform(rows)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, _butterfly(rows)), (t, shape, high)
-                sylvester = t <= 12 and high < limit
-                assert calls == ([shape] if sylvester else []), (t, shape, high)
+            with pytest.raises(ValueError):
+                walsh_transform(np.full(shape, limit))
+            with pytest.raises(ValueError):
+                walsh_transform(np.full(shape, -limit))
+    with pytest.raises(ValueError):
+        walsh_transform(np.ones(1 << 13, dtype=np.int64))
+    with pytest.raises(ValueError):
+        walsh_transform(np.ones(12, dtype=np.int64))
 
 
 def test_parity_table():
@@ -388,17 +390,21 @@ def test_counts_fail_on_swapped_rows_that_direct_passes(monkeypatch, q, n):
 def test_counts_fail_on_unbalanced_first_bit_functionals(monkeypatch):
     # With bilinear window tables of full rank, the balances of the
     # first-bit functionals decide the verdict: a duplicated first-bit row
-    # leaves some functional unbalanced, and both methods must fail.
+    # leaves some functional unbalanced, and both methods must fail.  At
+    # q = 13 the balances have length 2^13; direct stops at t = 12.
     def duplicated_first_bit_rows(ctx):
         brow = real(ctx)
         brow[1] = brow[2]
         return brow
 
     real = verify_mod.first_bit_rows
+    assert check_hadamard(field(13), 1, method="counts")
     monkeypatch.setattr(verify_mod, "first_bit_rows", duplicated_first_bit_rows)
     assert _rank_verdicts(field(3)).all()
     for method in ("counts", "direct"):
         assert check_hadamard(field(3), 1, method=method) is False, method
+    assert _rank_verdicts(field(13)).all()
+    assert check_hadamard(field(13), 1, method="counts") is False
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -715,11 +721,16 @@ def test_bias_on_a_bent_n1_table_takes_the_literal_path(monkeypatch, case):
     assert rep == BiasReport(q, k, bent_bias, 2.0 ** (1 - (2 * k - q) / 2), pairs, exhaustive)
 
 
-def test_bias_takes_the_literal_path_when_the_convolution_does_not_round(monkeypatch):
+def test_bias_raises_when_the_convolution_does_not_round(monkeypatch):
+    # Every exact convolution value is an integer far inside float64's
+    # rounding, so a value off by 1/2 is an arithmetic fault, not a case for
+    # another path.
     ctx = field(4)
-    clean = check_one_bit_bias(ctx, 1, 3, seed=9)
-    monkeypatch.setattr(verify_mod, "_log_spectra", lambda *args: None)
-    assert check_one_bit_bias(ctx, 1, 3, seed=9) == clean
+    assert check_one_bit_bias(ctx, 1, 3, seed=9).holds
+    real = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: real(*args, **kwargs) + 0.5)
+    with pytest.raises(ArithmeticError):
+        check_one_bit_bias(ctx, 1, 3, seed=9)
 
 
 # ---------- output distance ----------
@@ -839,10 +850,11 @@ def test_hadamard_instances_enumeration():
 def test_verify_reports_match_the_recorded_digests():
     # The cheap runs of scripts/verify_digests.py, replayed in process
     # against the digests it recorded in tests/data/verify_digests.json.
+    # The hadamard run is the only pinned one over q = 13..16.
     root = Path(__file__).resolve().parents[1]
     script = runpy.run_path(str(root / "scripts" / "verify_digests.py"))
     recorded = json.loads((root / "tests" / "data" / "verify_digests.json").read_text())
     assert set(recorded) == {" ".join(script["argv"](*run)) for run in script["RUNS"]}
-    for seed in (0, 1):
-        argv = script["argv"]("all", 10, seed)
+    for run in (("all", 10, 0), ("all", 10, 1), ("hadamard", 16, 0)):
+        argv = script["argv"](*run)
         assert script["digest"](argv) == recorded[" ".join(argv)], argv
