@@ -1,9 +1,12 @@
 """Streaming extractor tests: worked examples, framing, stop reasons, reports."""
 
 import io
+import json
 import random
+import runpy
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -862,3 +865,20 @@ def test_repeated_runs_identical():
     first = [c.bits for c in extract_eq(xb, yb, plan)]
     second = [c.bits for c in extract_eq(xb, yb, plan)]
     assert first == second
+
+
+# ---------- the pinned output contract ----------
+
+def test_extractions_match_the_recorded_contract():
+    # Every case of scripts/extract_contract.py, replayed in process against
+    # what it recorded in tests/data/extract_contract.json: the written
+    # bytes, the chunks, the exception, the stop and the report text.
+    root = Path(__file__).resolve().parents[1]
+    script = runpy.run_path(str(root / "scripts" / "extract_contract.py"))
+    text = (root / "tests" / "data" / "extract_contract.json").read_text()
+    recorded = json.loads(text)
+    assert [case["seed"] for case in recorded] == list(range(script["CASES"]))
+    replayed = [script["run_case"](case["seed"]) for case in recorded]
+    for got, want in zip(replayed, recorded):
+        assert got == want, want["case"]
+    assert script["render"](replayed) == text
