@@ -42,10 +42,6 @@ class GateCostModel:
     mul_ops: int      # XOR/AND budget of one field multiplication
 
     @property
-    def add_ops(self) -> int:
-        return self.field_bits
-
-    @property
     def block_ops(self) -> int:
         return gate_count(self.vec_len, self.field_bits, self.mul_ops)
 

@@ -138,21 +138,3 @@ class BitWriter:
 def bit_rows_to_ints(bits: np.ndarray) -> list[int]:
     """Each row of a 2-D array of 0/1 bits as an int, its first bit least significant."""
     return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
-
-
-def pack_values(values, width: int) -> tuple[bytes, int]:
-    """Pack equal-width values into bytes; returns (data, pad_bits)."""
-    w = BitWriter()
-    data = b"".join(w.write_bits(v, width) for v in values)
-    tail, pad = w.getvalue()
-    return data + tail, pad
-
-
-def unpack_values(data: bytes, width: int, count: int) -> list[int]:
-    """Read count width-bit values back out of packed bytes, as rows of one peek."""
-    if width < 1:
-        raise ValueError("width must be positive")
-    r = BitReader(data)
-    if not r.fill(width * count):
-        raise ValueError("packed data too short")
-    return bit_rows_to_ints(r.peek(0, width * count).reshape(count, width))

@@ -60,16 +60,31 @@ WORKERS_HELP = ("must be >= 1; has no effect, blocks run in order on one thread 
                 "(parallel lanes are a hardware figure, see `bench cost`)")
 
 
-def _add_eq_plan_flags(p: argparse.ArgumentParser, need_n: bool = True) -> None:
+def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", required=True, help="bits per sample, e.g. 16")
     p.add_argument("--delta", required=True,
                    help="min-entropy rate as a rational, e.g. 10.74/16")
+
+
+def _add_eq_plan_flags(p: argparse.ArgumentParser, need_n: bool = True) -> None:
+    _add_source_flags(p)
     p.add_argument("--epsilon", required=True,
                    help="target distance from uniform, e.g. 2^-30")
     group = p.add_mutually_exclusive_group(required=need_n)
     group.add_argument("--N", help="samples per source, e.g. 2^47")
     group.add_argument("--N-bits", dest="n_bits",
                        help="raw bits per source; must divide by --b")
+
+
+def _add_extract_flags(p: argparse.ArgumentParser) -> None:
+    """The files and run limits both extract commands take."""
+    p.add_argument("--x", required=True, help="first source file (- reads standard input)")
+    p.add_argument("--y", required=True, help="second source file (- reads standard input)")
+    p.add_argument("--out", required=True, help="output file (packed bits)")
+    p.add_argument("--max-blocks", type=int, default=None,
+                   help="stop after this many blocks (>= 1), before the planned end")
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    p.add_argument("--report", help="write the report here instead of stdout")
 
 
 def _eq_plan_from_args(args, default_bits: int | None = None):
@@ -371,27 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("extract-eq", help="equal-block extraction of two files")
-    p.add_argument("--x", required=True, help="first source file")
-    p.add_argument("--y", required=True, help="second source file")
-    p.add_argument("--out", required=True, help="output file (packed bits)")
+    _add_extract_flags(p)
     _add_eq_plan_flags(p, need_n=False)
-    p.add_argument("--max-blocks", type=int, default=None,
-                   help="stop after this many blocks (>= 1), before the planned end")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.add_argument("--report", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_extract_eq)
 
     p = sub.add_parser("extract-neq", help="incremental-block extraction")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--delta", required=True)
+    _add_extract_flags(p)
+    _add_source_flags(p)
     p.add_argument("--q1", required=True, help="starting field bits, multiple of --b")
     p.add_argument("--growth", default=1, help="samples added per block (0 reproduces eq)")
-    p.add_argument("--max-blocks", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.add_argument("--report")
     p.set_defaults(func=cmd_extract_neq)
 
     p = sub.add_parser("simulate", help="generate a test stream from a model config")

@@ -130,26 +130,6 @@ class GFContext:
         self.check(y)
         return poly_mod(poly_mul(x, y), self.modulus)
 
-    def pow(self, x: int, e: int) -> int:
-        """x raised to a nonnegative integer power."""
-        self.check(x)
-        if e < 0:
-            raise ValueError("negative exponent")
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return r
-
-    def inv(self, x: int) -> int:
-        """Multiplicative inverse of nonzero x, via x^(2^q - 2)."""
-        self.check(x)
-        if x == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(x, (1 << self.q) - 2)
-
 
 @cache
 def field(q: int) -> GFContext:

@@ -153,10 +153,10 @@ def _validate_sample_bits(bits_per_sample: int) -> None:
 def plan_eq(bits_per_sample: int, num_samples: int, entropy_rate, epsilon) -> EqPlan:
     """Derive the equal-block plan for two (b, N, rate)-block sources.
 
-    The element width starts at the smallest multiple of b with
-    2^q >= N / (epsilon * n) and is bumped by further multiples of b in the
-    rare boundary cases where the summed per-block bound still exceeds
-    epsilon.  The returned plan always satisfies log2_error <= log2(epsilon).
+    The element width is the smallest multiple of b with
+    2^q >= N / (epsilon * n) whose summed per-block bound is at most
+    epsilon (rarely more than the first condition alone asks), so the
+    returned plan always satisfies log2_error <= log2(epsilon).
     """
     entropy_rate = as_rational(entropy_rate, "entropy_rate")
     epsilon = as_rational(epsilon, "epsilon")
@@ -170,20 +170,19 @@ def plan_eq(bits_per_sample: int, num_samples: int, entropy_rate, epsilon) -> Eq
     n = _vec_len(entropy_rate)
     b = bits_per_sample
     threshold = Fraction(num_samples) / (epsilon * n)  # need 2^q >= this
-    q = b
-    while (1 << q) < threshold and q <= MAX_FIELD_BITS:   # past the cap, q is refused below
-        q += b
     log2_eps = log2_fraction(epsilon)
-    while True:
-        if q > MAX_FIELD_BITS:
-            raise CapacityError(
-                f"derived field width {q} exceeds the {MAX_FIELD_BITS}-bit implementation cap"
-            )
-        num_blocks = num_samples * b // (q * n)
-        log2_error = _sum_log2_error(num_blocks, n, q, entropy_rate)
-        if log2_error <= log2_eps:
-            break
+    q = b
+    while q <= MAX_FIELD_BITS:
+        if (1 << q) >= threshold:
+            num_blocks = num_samples * b // (q * n)
+            log2_error = _sum_log2_error(num_blocks, n, q, entropy_rate)
+            if log2_error <= log2_eps:
+                break
         q += b
+    else:
+        raise CapacityError(
+            f"derived field width {q} exceeds the {MAX_FIELD_BITS}-bit implementation cap"
+        )
     return EqPlan(
         bits_per_sample=b,
         num_samples=num_samples,

@@ -31,6 +31,9 @@ from .params import _validate_sample_bits
 
 PROB_SUM_TOL = 2.0 ** -30
 
+# Widest `uniform` config model, built as a 2^b-entry float64 table (128 MiB).
+MAX_UNIFORM_BITS = 24
+
 _ANALYTIC_KINDS = ("iid-biased", "iid-table", "markov")
 
 
@@ -245,10 +248,11 @@ def _certify_joint(model: SourceModel) -> MinEntropyCertificate:
 def parse_model(config: dict) -> SourceModel:
     """Build a model from a parsed JSON config dict.
 
-    A config that is not an object, lacks a key its kind needs, or gives
-    `b` or `seed` as anything but an integer (a bool, 2.5), raises
-    ValueError naming the problem.  Integral numbers and numeric strings
-    are taken.
+    A config that is not an object, lacks a key its kind needs, gives `b`
+    or `seed` as anything but an integer (a bool, 2.5) or `p` as anything
+    but a number (a bool, a list), or asks for a `uniform` model wider than
+    MAX_UNIFORM_BITS, raises ValueError naming the problem.  Numbers and
+    numeric strings are taken; `b` and `seed` must be integral.
     """
     if not isinstance(config, dict):
         raise ValueError(f"source config must be a JSON object, not {type(config).__name__}")
@@ -259,24 +263,30 @@ def parse_model(config: dict) -> SourceModel:
             raise ValueError(f"source config of kind {kind!r} needs the key {key!r}")
         return config[key]
 
-    def integer(key: str, default: int) -> int:
-        value = config.get(key, default)
-        refused = ValueError(f"source config key {key!r} must be an integer, got {value!r}")
-        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    def number(key: str, value, integral: bool = True):
+        refused = ValueError(f"source config key {key!r} must be "
+                             f"{'an integer' if integral else 'a number'}, got {value!r}")
+        if isinstance(value, bool) or (integral and isinstance(value, float)
+                                       and not value.is_integer()):
             raise refused
         try:
-            return int(value)
+            return int(value) if integral else float(value)
         except (TypeError, ValueError):
             raise refused from None
 
-    seed = integer("seed", 0)
-    b = integer("b" if "b" in config else "bits_per_sample", 1)
+    seed = number("seed", config.get("seed", 0))
+    b_key = "b" if "b" in config else "bits_per_sample"
+    b = number(b_key, config.get(b_key, 1))
     if kind == "iid-biased":
-        return iid_biased(float(need("p")), seed=seed)
+        return iid_biased(number("p", need("p"), integral=False), seed=seed)
     if kind == "iid-table":
         return iid_table(need("probs"), b, seed=seed)
     if kind == "uniform":
-        return iid_table(np.full(_outcomes(b), 2.0 ** -b), b, seed=seed)
+        size = _outcomes(b)
+        if b > MAX_UNIFORM_BITS:
+            raise ValueError(f"source config key {b_key!r} of kind 'uniform' must be at most "
+                             f"{MAX_UNIFORM_BITS} (the model is a 2^b-entry table), got {b}")
+        return iid_table(np.full(size, 2.0 ** -b), b, seed=seed)
     if kind == "markov":
         return markov(need("transitions"), b, seed=seed)
     if kind == "file":

@@ -22,7 +22,7 @@ def test_gate_count_published_configuration():
 
 def test_gate_cost_model_identity():
     cost = GateCostModel(field_bits=80, vec_len=71, mul_ops=DEFAULT_MUL_OPS_Q80)
-    assert cost.block_ops == cost.add_ops * (71 - 1) + cost.mul_ops * 71
+    assert cost.block_ops == cost.field_bits * (71 - 1) + cost.mul_ops * 71
     assert cost.block_ops == 352435
 
 

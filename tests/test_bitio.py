@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from blockext.bitio import BitReader, BitWriter, pack_values, unpack_values
+from blockext.bitio import BitReader, BitWriter, bit_rows_to_ints
 
 
 class DribbleIO:
@@ -119,16 +119,26 @@ def test_writer_hands_out_whole_bytes_as_they_complete(writes):
 @given(st.data(), st.integers(1, 128))
 def test_pack_unpack_round_trip(data, width):
     values = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=0, max_size=40))
-    packed, pad = pack_values(values, width)
+    w = BitWriter()
+    packed = b"".join(w.write_bits(v, width) for v in values)
+    tail, pad = w.getvalue()
+    packed += tail
     assert len(packed) * 8 == width * len(values) + pad
-    assert unpack_values(packed, width, len(values)) == values
+    r = BitReader(packed)
+    assert r.fill(width * len(values))
+    rows = r.peek(0, width * len(values)).reshape(len(values), width)
+    assert bit_rows_to_ints(rows) == values
 
 
 @pytest.mark.parametrize("width, count", [(1, 1), (7, 3), (8, 2), (11, 5), (128, 2)])
 def test_unpack_refuses_short_data_and_zero_width(width, count):
-    packed, _ = pack_values([(1 << width) - 1] * count, width)
-    assert unpack_values(packed, width, count) == [(1 << width) - 1] * count
-    with pytest.raises(ValueError, match="packed data too short"):
-        unpack_values(packed[:-1], width, count)
-    with pytest.raises(ValueError):
-        unpack_values(packed, 0, count)
+    ones = (1 << width * count) - 1
+    packed = ones.to_bytes((width * count + 7) // 8, "little")
+    r = BitReader(packed)
+    assert r.fill(width * count)
+    rows = r.peek(0, width * count).reshape(count, width)
+    assert bit_rows_to_ints(rows) == [(1 << width) - 1] * count
+    short = BitReader(packed[:-1])
+    assert not short.fill(width * count)
+    with pytest.raises(ValueError, match="not buffered"):
+        short.peek(0, width * count)

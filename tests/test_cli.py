@@ -36,6 +36,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+@pytest.mark.parametrize("command", ["extract-eq", "extract-neq"])
+def test_extract_commands_document_every_flag(command):
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    flags = {a.option_strings[-1]: a.help for a in commands.choices[command]._actions}
+    assert {"--x", "--y", "--out", "--b", "--delta", "--max-blocks", "--workers",
+            "--report"} <= set(flags)
+    assert all(flags.values()), flags
+
+
 def test_params_prints_flagship_plan(capsys):
     assert run_cli("params", "--b", "16", "--delta", "10.74/16",
                    "--N", "2^47", "--epsilon", "2^-30") == 0
@@ -519,7 +528,11 @@ def test_simulate_markov_certificate(tmp_path, capsys):
     ({"kind": "uniform", "b": 2.5}, "'b' must be an integer"),
     ({"kind": "uniform", "b": True}, "'b' must be an integer"),
     ({"kind": "uniform", "b": 8, "seed": 1.9}, "'seed' must be an integer"),
-], ids=["no-p", "no-transitions", "not-an-object", "b-fraction", "b-bool", "seed-fraction"])
+    ({"kind": "iid-biased", "p": True}, "'p' must be a number"),
+    ({"kind": "iid-biased", "p": [0.5]}, "'p' must be a number"),
+    ({"kind": "uniform", "b": 48}, "'b' of kind 'uniform' must be at most 24"),
+], ids=["no-p", "no-transitions", "not-an-object", "b-fraction", "b-bool", "seed-fraction",
+        "p-bool", "p-list", "uniform-b-48"])
 def test_simulate_malformed_config_is_usage_error(tmp_path, capsys, config, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

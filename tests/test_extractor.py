@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockext import extractor
-from blockext.bitio import READ_SIZE, pack_values, unpack_values
+from blockext.bitio import READ_SIZE
 from blockext.extractor import _batch_size, ext_ip, extract_eq, extract_neq
 from blockext.gf2q import MAX_FIELD_BITS, field
 from blockext.params import (
@@ -90,8 +90,8 @@ def test_single_block_matches_standalone_inner_product():
     assert plan.num_blocks == 1
     xs = [rnd.getrandbits(80) for _ in range(71)]
     ys = [rnd.getrandbits(80) for _ in range(71)]
-    x_bytes, _ = pack_values(xs, 80)
-    y_bytes, _ = pack_values(ys, 80)
+    x_bytes, y_bytes = (sum(v << 80 * i for i, v in enumerate(vs)).to_bytes(710, "little")
+                        for vs in (xs, ys))
     chunks = list(extract_eq(x_bytes, y_bytes, plan))
     assert len(chunks) == 1 and chunks[0].width == 80
     assert chunks[0].bits == ext_ip(field(80), xs, ys)
@@ -594,9 +594,8 @@ READ_STEPS = [1, 2, 3, 7, 100, 4096, READ_SIZE - 1, READ_SIZE, READ_SIZE + 1, 1 
 
 def _elements(data, offset, width, n):
     """The n width-bit elements starting at bit `offset` of `data`."""
-    first, shift = divmod(offset, 8)
-    value = int.from_bytes(data[first:first + (shift + width * n + 7) // 8], "little") >> shift
-    return unpack_values(value.to_bytes((width * n + 7) // 8 + 1, "little"), width, n)
+    return [int.from_bytes(data[s >> 3:(s + width + 7) >> 3], "little") >> (s & 7) & (1 << width) - 1
+            for s in range(offset, offset + width * n, width)]
 
 
 def _bytes_taken(length, step, targets):
@@ -719,7 +718,7 @@ def test_one_block_near_rate_one_half_matches_scalar_reference():
     # Decoding both whole windows at once would take 2*80*n bytes = 3.84 MB.
     assert peak < 2_000_000
     assert len(chunks) == 1
-    assert chunks[0].bits == ext_ip(field(80), unpack_values(xb, 80, n), unpack_values(yb, 80, n))
+    assert chunks[0].bits == ext_ip(field(80), _elements(xb, 0, 80, n), _elements(yb, 0, 80, n))
 
 
 # ---------- memory and the batch workspace ----------
