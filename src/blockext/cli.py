@@ -11,17 +11,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
+import importlib
 import itertools
-import json
 import os
 import stat
 import sys
 
 import numpy as np
 
-from . import bench as bench_mod
-from . import sources as sources_mod
-from . import verify as verify_mod
 from .errors import (
     CapacityError,
     TruncatedSourceError,
@@ -40,6 +38,17 @@ from .params import (
     plan_neq,
 )
 from .report import format_document, plan_to_text
+
+# Modules that only some commands run: each command imports its own, and
+# `cli.verify_mod` and the like resolve on access from outside (PEP 562).
+_COMMAND_MODULES = {"bench_mod": "bench", "sources_mod": "sources", "verify_mod": "verify"}
+
+
+def __getattr__(name):
+    if name not in _COMMAND_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f".{_COMMAND_MODULES[name]}", __package__)
+
 
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
@@ -203,6 +212,10 @@ def cmd_extract_neq(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import json
+
+    from . import sources as sources_mod
+
     with open(args.config) as fh:
         model = sources_mod.parse_model(json.load(fh))
     if args.seed is not None:
@@ -235,12 +248,16 @@ def cmd_simulate(args) -> int:
 # Each verify suite yields (text, ok) per check; cmd_verify appends PASS/FAIL.
 
 def _hadamard_checks(args):
+    from . import verify as verify_mod
+
     cap = min(args.max_bits, verify_mod.MAX_HADAMARD_BITS)
     for q, n in verify_mod.hadamard_instances(cap):
         yield f"hadamard q={q} n={n}:", verify_mod.check_hadamard(field(q), n)
 
 
 def _bias_checks(args):
+    from . import verify as verify_mod
+
     cap = min(args.max_bits, verify_mod.MAX_DENSE_BITS)
     for q, n in verify_mod.hadamard_instances(cap):
         t = q * n
@@ -252,6 +269,8 @@ def _bias_checks(args):
 
 
 def _distance_checks(args):
+    from . import verify as verify_mod
+
     rng = np.random.default_rng(args.seed)
     cap = min(args.max_bits, verify_mod.MAX_DENSE_BITS)
     for q, n in verify_mod.hadamard_instances(cap):
@@ -279,6 +298,8 @@ def _flat(rng, size: int, support: int) -> np.ndarray:
 
 
 def _xor_checks(args):
+    from . import verify as verify_mod
+
     rng = np.random.default_rng(args.seed)
     constant = np.zeros((2, 1))
     constant[0, 0] = 1.0
@@ -293,6 +314,8 @@ def _xor_checks(args):
 
 
 def _bijection_checks(args):
+    from . import verify as verify_mod
+
     for q in range(1, 9):
         yield f"bijection q={q}:", verify_mod.check_first_bit_bijection(field(q))
 
@@ -327,9 +350,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench_cost(args) -> int:
+    from . import bench as bench_mod
+
+    mul_ops = bench_mod.DEFAULT_MUL_OPS_Q80 if args.mul_ops is None else int(args.mul_ops)
     cost = bench_mod.GateCostModel(
-        field_bits=int(args.field_bits), vec_len=int(args.vec_len),
-        mul_ops=int(args.mul_ops),
+        field_bits=int(args.field_bits), vec_len=int(args.vec_len), mul_ops=mul_ops,
     )
     model = bench_mod.FpgaModel(
         clock_hz=float(args.clock_mhz) * 1e6,
@@ -351,6 +376,8 @@ def cmd_bench_cost(args) -> int:
 
 def cmd_bench_throughput(args) -> int:
     import platform
+
+    from . import bench as bench_mod
 
     plan = _eq_plan_from_args(args)
     rep = bench_mod.measure_throughput(
@@ -420,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = bsub.add_parser("cost", help="gate-count and FPGA speed projection")
     c.add_argument("--vec-len", default=71)
     c.add_argument("--field-bits", default=80)
-    c.add_argument("--mul-ops", default=bench_mod.DEFAULT_MUL_OPS_Q80)
+    c.add_argument("--mul-ops")  # default: bench.DEFAULT_MUL_OPS_Q80, set in cmd_bench_cost
     c.add_argument("--clock-mhz", default=200)
     c.add_argument("--luts", default=300000)
     c.add_argument("--ops-per-lut", default=5)
@@ -450,5 +477,12 @@ def main(argv=None) -> int:
         raise
 
 
+def run() -> int:
+    """Process entry of the `blockext` command and `python -m blockext.cli`."""
+    code = main()
+    gc.freeze()  # frozen objects are skipped by the full collections of interpreter shutdown
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -118,12 +118,6 @@ class GFContext:
             raise ValueError(f"element {x!r} not in range of GF(2^{self.q})")
         return x
 
-    def add(self, x: int, y: int) -> int:
-        """Field addition: bit-wise XOR."""
-        self.check(x)
-        self.check(y)
-        return x ^ y
-
     def mul(self, x: int, y: int) -> int:
         """Field multiplication: carry-less product reduced by the modulus."""
         self.check(x)

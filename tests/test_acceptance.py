@@ -252,14 +252,13 @@ def test_field_correctness():
         size = 1 << q
         for a in range(size):
             for b in range(size):
-                assert ctx.add(a, b) == ctx.add(b, a)
+                assert a ^ b == b ^ a
                 assert ctx.mul(a, b) == ctx.mul(b, a)
                 for c in range(size):
-                    assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
+                    assert (a ^ b) ^ c == a ^ (b ^ c)
                     assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
-                    assert ctx.mul(a, ctx.add(b, c)) == \
-                        ctx.add(ctx.mul(a, b), ctx.mul(a, c))
-            assert ctx.add(a, 0) == a and ctx.mul(a, 1) == a and ctx.add(a, a) == 0
+                    assert ctx.mul(a, b ^ c) == ctx.mul(a, b) ^ ctx.mul(a, c)
+            assert a ^ 0 == a and ctx.mul(a, 1) == a and a ^ a == 0
 
     # randomized axioms, >= 10^4 triples per q
     rnd = random.Random(1618)
@@ -269,8 +268,8 @@ def test_field_correctness():
             a, b, c = (rnd.getrandbits(q) for _ in range(3))
             assert ctx.mul(a, b) == ctx.mul(b, a)
             assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
-            assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
-            assert ctx.add(a, a) == 0
+            assert ctx.mul(a, b ^ c) == ctx.mul(a, b) ^ ctx.mul(a, c)
+            assert a ^ a == 0
 
     # inverse existence, exhaustive for q <= 8
     for q in range(1, 9):

@@ -173,6 +173,39 @@ EQ_FLAGS = ("extract-eq", "--b", "8", "--delta", "3/4", "--epsilon", "2^-8")
 NEQ_FLAGS = ("extract-neq", "--b", "8", "--delta", "3/4", "--q1", "8")
 
 
+STARTUP_CHECK = """
+import gc, sys
+from blockext import cli
+
+x, y, out, report = sys.argv[1:]
+files = ["--x", x, "--y", y, "--out", out, "--report", report]
+lazy = ("blockext.verify", "blockext.sources", "blockext.bench", "json")
+for flags in {flags!r}:
+    assert cli.main([*flags, *files]) == 0
+    print(sorted(m for m in lazy if m in sys.modules))
+assert cli.main(["verify", "--suite", "bijection", "--max-bits", "3", "--report", report]) == 0
+print("blockext.verify" in sys.modules, gc.get_freeze_count())
+sys.argv = ["blockext", "bench", "cost", "--ops-per-lut", "1", "--report", report]
+print(cli.run(), gc.get_freeze_count() > 0)
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # In a fresh process: the extract commands import neither the oracles,
+    # the simulators, the cost models nor json; verify imports its oracles;
+    # main never freezes the collector, and the process entry does.
+    x, y = tmp_path / "x.bin", tmp_path / "y.bin"
+    x.write_bytes(bytes(range(256)) * 8)
+    y.write_bytes(bytes(range(255, -1, -1)) * 8)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    script = STARTUP_CHECK.format(flags=[(*EQ_FLAGS, "--N", "1024"), (*NEQ_FLAGS, "--growth", "1")])
+    done = subprocess.run([sys.executable, "-c", script, str(x), str(y), str(tmp_path / "z.bin"),
+                           str(tmp_path / "r.txt")], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]", "True 0", "3 True"]
+
+
 @pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
 def test_extract_closes_x_when_y_cannot_be_opened(tmp_path, monkeypatch, flags):
     x = tmp_path / "x.bin"

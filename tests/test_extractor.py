@@ -44,7 +44,7 @@ def test_ext_ip_examples():
     ctx = field(2)
     v = 0b11
     assert ext_ip(ctx, (1,), (v,)) == v
-    expected = ctx.add(0b11, ctx.add(0b10, ctx.mul(0b11, 0b10)))
+    expected = 0b11 ^ 0b10 ^ ctx.mul(0b11, 0b10)
     assert ext_ip(ctx, (0b10, 0b01, 0b11), (0b10, 0b10, 0b10)) == expected == 0
 
 
