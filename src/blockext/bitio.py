@@ -6,8 +6,10 @@ a flat bit stream in little-endian bit order, so bit i of the stream is bit
 are read least-significant-bit-first, matching the field-element convention
 in :mod:`blockext.gf2q`.
 
-One path each way: :meth:`BitWriter.write_bits` returns the bytes each write
-completes, and :func:`bit_rows_to_ints` decodes rows of peeked bits to ints.
+:func:`bit_rows_to_ints` decodes rows of peeked bits to ints, and
+:meth:`BitWriter.write_bits` packs one value at a time, returning the bytes
+each write completes; extraction packs a whole batch of output bits at once
+with ``np.packbits`` in the same bit order.
 """
 
 from __future__ import annotations

@@ -17,15 +17,19 @@ Blocks are independent, which is what lets hardware run several block
 lanes side by side (the lane model is :func:`blockext.bench.projected_speed`).
 In software, :class:`Extraction` computes each run of equal-width blocks in
 batches with numpy: the inner product's unreduced carry-less product is a
-GF(2) bit-matrix product, and each block is reduced once, at the end (see
+GF(2) bit-matrix product, computed pair-packed (two bits of each element
+per float32 operand, three bit counts per product entry, a quarter of the
+multiply-adds), and each block is reduced once, at the end (see
 :func:`_inner_products`).  A run computes every batch in one workspace of
 arrays (:class:`_Workspace`) that it keeps until the block width changes,
 so its memory is bounded by _BATCH_BUDGET and not by the input length, and
-a long run allocates nothing large after its first batch.  Iteration only
-yields chunks: :meth:`Extraction.run` alone packs them, writing the bytes
-each chunk completes as soon as it is made; both run in one session, which
-reports once, however the run ends.  :func:`ext_ip` stays as the independent
-scalar reference; the two share only the shipped modulus table.
+a long run allocates nothing large after its first batch.  One producer
+yields each batch's output bits and consumes nothing; iteration expands a
+batch into chunks, committing each as it is yielded, and
+:meth:`Extraction.run` packs the batch once and writes the bytes each chunk
+completes; both run in one session, which reports once, however the run
+ends.  :func:`ext_ip` stays as the independent scalar reference; the two
+share only the shipped modulus table.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._moduli import modulus_int
-from .bitio import BitReader, BitWriter, bit_rows_to_ints
+from ._moduli import MODULUS_EXPONENTS
+from .bitio import BitReader, bit_rows_to_ints
 from .gf2q import GFContext, MAX_FIELD_BITS
 from .params import EqPlan, NeqPlan, error_bound_eq, error_bound_neq
 from .report import ExtractionReport
@@ -70,19 +74,41 @@ def ext_ip(ctx: GFContext, x: Sequence[int], y: Sequence[int]) -> int:
 # ---------- the batched block engine ----------
 
 # Working-set budget of one batch: blocks * q * max(q, n) stays below it, so
-# the decoded bits and the q x q parity matrices of a batch take at most
-# this many bytes each, whatever the window size.
+# the decoded bits of a batch take at most this many bytes, whatever the
+# window size.
 _BATCH_BUDGET = 1 << 17
-# Elements per float32 matrix product.  Every count stays at most 255, so
-# the uint8 cast that keeps its parity is exact, and q*q*step stays within
-# the size OpenBLAS computes on the calling thread; larger products wake its
-# worker threads, which cost milliseconds per call on a busy machine.
+# Multiply-adds per float32 matrix product: h*h*step stays within the size
+# OpenBLAS computes on the calling thread; larger products wake its worker
+# threads, which cost milliseconds per call on a busy machine.
 _GEMM_CELLS = 1 << 18
+# Elements per product.  A pair-packed product sums three bit counts in
+# fields 8 bits apart (see _inner_products), at most 127, 254 and 127 over
+# 127 elements, so no field carries into the next and every sum stays
+# below 2^23, which float32 holds exactly in any summation order.
+_MAX_STEP = 127
 
 
 def _batch_size(q: int, n: int) -> int:
     """Blocks of width q computed together: a constant of the working-set budget."""
     return max(1, _BATCH_BUDGET // (q * max(q, n)))
+
+
+def _reduction_matrix(q: int) -> np.ndarray:
+    """The (2q-1) x q float32 GF(2) matrix whose row k holds the bits of x^k mod f.
+
+    Rows below q are unit rows.  For k >= q, x^k = sum of x^(k-q+e) over the
+    exponents e < q of the modulus f, so each row is the XOR of earlier
+    rows, and the lag q - max(e) rows at a time depend only on rows before them.
+    """
+    low = MODULUS_EXPONENTS[q][1:]
+    lag = q - low[0]
+    bits = np.zeros((2 * q - 1, q), np.uint8)
+    bits.reshape(-1)[:q * q:q + 1] = 1
+    for lo in range(q, 2 * q - 1, lag):
+        hi = min(lo + lag, 2 * q - 1)
+        for e in low:
+            bits[lo:hi] ^= bits[lo - q + e:hi - q + e]
+    return bits.astype(np.float32)
 
 
 class _Workspace:
@@ -92,33 +118,48 @@ class _Workspace:
     batch (a shorter batch uses the leading blocks), so the steady state
     allocates nothing large: arrays of this size allocated per batch are
     mapped from the OS and faulted in again every time.  As
-    blocks * q * max(q, n) <= _BATCH_BUDGET unless blocks == 1, it holds
-    at most 15 * _BATCH_BUDGET bytes, or 8 * _BATCH_BUDGET + 7 * q * q for
-    one block, besides the reduction matrix's 4 * (2q - 1) * q.
+    blocks * q * max(q, n) <= _BATCH_BUDGET unless blocks == 1, it holds at
+    most 44 * _BATCH_BUDGET bytes (at q = n = 1; 19 from q = 2 on, under 7
+    at q = 80, n = 71), or 2.5 * _BATCH_BUDGET + 12 * h * h for one block,
+    besides the reduction matrix's 4 * (2q - 1) * q.
     """
 
     def __init__(self, blocks: int, q: int, n: int):
         self.q = q
+        self.h = h = (q + 1) // 2
         # Elements per product, and decoded at once (below n only if blocks == 1).
-        self.step = max(1, min(255, _GEMM_CELLS // (q * q)))
+        self.step = max(1, min(_MAX_STEP, _GEMM_CELLS // (h * h)))
         self.span = min(n, _BATCH_BUDGET // q)
         rows = min(self.step, self.span)
-        self.xf = np.empty((blocks, rows, q), np.float32)
-        self.yf = np.empty((blocks, rows, q), np.float32)
-        self.counts = np.empty((blocks, q, q), np.float32)
-        self.parity = np.empty((blocks, q, q), np.uint8)
-        # Rows of 2q whose right half stays zero (see _inner_products).
-        self.padded = np.zeros((blocks, q, 2 * q), np.uint8)
-        # (2q-1) x q GF(2) matrix whose row k holds the bits of x^k mod f.
-        f, rows, r = modulus_int(q), [], 1
-        for _ in range(2 * q - 1):
-            rows.append(r)
-            r <<= 1
-            if r >> q:
-                r ^= f
-        raw = np.frombuffer(b"".join(v.to_bytes((q + 7) // 8, "little") for v in rows), np.uint8)
-        bits = np.unpackbits(raw, bitorder="little").reshape(2 * q - 1, -1)[:, :q]
-        self.reduction = bits.astype(np.float32)
+        self.xf = np.empty((blocks, rows, h), np.float32)
+        self.yf = np.empty((blocks, rows, h), np.float32)
+        self.counts = np.empty((blocks, h, h), np.float32)
+        # Rows of 2h whose right half stays zero, and the 2h - 1
+        # anti-diagonals between two columns that stay zero (see
+        # _inner_products).
+        self.padded = np.zeros((blocks, h, 2 * h), np.int32)
+        self.diagonals = np.zeros((blocks, 2 * h + 1), np.int32)
+        self.coefficient_pairs = np.empty((blocks, 2 * h), "<u2")
+        self.coefficients = np.empty((blocks, 2 * q - 1), np.float32)
+        # An odd width decodes through elements of q + 1 bits, the last zero.
+        self.pads = np.zeros((2, blocks, self.span, q + 1), np.uint8) if q & 1 else None
+        self.reduction = _reduction_matrix(q)
+
+    def bit_pairs(self, side: int, bits: np.ndarray, blocks: int, rows: int) -> np.ndarray:
+        """Peeked bits (blocks*rows*q of them) as (blocks, rows, h) uint16 bit pairs.
+
+        Pair a of an element is its bit 2a plus 256 times its bit 2a + 1,
+        read little-endian whatever the machine's byte order.
+        """
+        bits = bits.reshape(blocks, rows, self.q)
+        if self.pads is not None:
+            # Each element's q bytes copied as one item: a loop over
+            # elements, not over bits.
+            pad = self.pads[side, :blocks, :rows]
+            item = f"V{self.q}"
+            np.copyto(pad[:, :, :self.q].view(item), bits.view(item))
+            bits = pad
+        return bits.view("<u2")
 
 
 def _inner_products(ws: _Workspace, x: BitReader, y: BitReader, blocks: int,
@@ -130,34 +171,56 @@ def _inner_products(ws: _Workspace, x: BitReader, y: BitReader, blocks: int,
     C = X^T Y counts, for each pair of bit positions (i, j), the elements
     whose x-bit i and y-bit j are both set, so the parities of the sums of
     C's anti-diagonals i + j = k are the 2q-1 coefficients of the unreduced
-    sum of carry-less products.  One multiply by the reduction matrix then
-    reduces that sum modulo the field's modulus.  The result is a new
-    array; the workspace is scratch for the next batch.
+    sum of carry-less products.  The product is pair-packed: with bits 2a
+    and 2a+1 of each element read as one operand x[2a] + 256*x[2a+1] (an
+    odd q pads each element with a zero bit), the h x h product G = X2^T Y2
+    holds G[a, b] = F0 + 256*F1 + 65536*F2, with F0 = C[2a, 2b],
+    F1 = C[2a+1, 2b] + C[2a, 2b+1] and F2 = C[2a+1, 2b+1], the counts of
+    coefficients 2(a+b), 2(a+b)+1 and 2(a+b)+2: a quarter of the
+    multiply-adds of the q x q product.  Bits 0, 8 and 16 of G are the three
+    parities.  One multiply by the reduction matrix then reduces the
+    coefficients modulo the field's modulus.  The result is a new array;
+    the workspace is scratch for the next batch.
     """
-    q, step = ws.q, ws.step
+    q, h, step = ws.q, ws.h, ws.step
     counts = ws.counts[:blocks]
-    parity = ws.parity[:blocks]
-    parity.fill(0)
-    for lo in range(0, n, ws.span):
-        hi = min(n, lo + ws.span)
-        # One block, or whole windows: either way the bits are contiguous.
-        xs = x.peek(lo * q, blocks * (hi - lo) * q).reshape(blocks, hi - lo, q)
-        ys = y.peek(lo * q, blocks * (hi - lo) * q).reshape(blocks, hi - lo, q)
-        for k in range(0, hi - lo, step):
-            m = min(step, hi - lo - k)
-            xf, yf = ws.xf[:blocks, :m], ws.yf[:blocks, :m]
-            np.copyto(xf, xs[:, k:k + m], casting="unsafe")
-            np.copyto(yf, ys[:, k:k + m], casting="unsafe")
-            np.matmul(xf.transpose(0, 2, 1), yf, out=counts)
-            np.bitwise_xor(parity, counts, out=parity, dtype=np.uint8, casting="unsafe")
-    # Shift row i of each parity matrix right by i: padded rows of 2q cut
-    # to 2q-1 put C[i, j] in column i + j, so column sums are the
-    # anti-diagonal sums.
+    # G XORed over the products of the element chunks, as int32, in the
+    # left half of rows of 2h whose right half stays zero.
     padded = ws.padded[:blocks]
-    np.bitwise_and(parity, 1, out=padded[:, :, :q])
-    skewed = padded.reshape(blocks, 2 * q * q)[:, :q * (2 * q - 1)].reshape(blocks, q, 2 * q - 1)
-    product = skewed.sum(axis=1, dtype=np.uint8) & 1
-    reduced = product.astype(np.float32) @ ws.reduction
+    left = padded[:, :, :h]
+    for lo in range(0, n, ws.span):
+        rows = min(n, lo + ws.span) - lo
+        # One block, or whole windows: either way the bits are contiguous.
+        xs = ws.bit_pairs(0, x.peek(lo * q, blocks * rows * q), blocks, rows)
+        ys = ws.bit_pairs(1, y.peek(lo * q, blocks * rows * q), blocks, rows)
+        for k in range(0, rows, step):
+            m = min(step, rows - k)
+            xf, yf = ws.xf[:blocks, :m], ws.yf[:blocks, :m]
+            np.copyto(xf, xs[:, k:k + m])
+            np.copyto(yf, ys[:, k:k + m])
+            np.matmul(xf.transpose(0, 2, 1), yf, out=counts)
+            if lo == k == 0:
+                np.copyto(left, counts, casting="unsafe")
+            else:
+                np.bitwise_xor(left, counts, out=left, dtype=np.int32, casting="unsafe")
+    # Shift row a right by a: padded rows of 2h cut to 2h-1 put G[a, b] in
+    # column a + b, so XORs down the columns are anti-diagonal XORs, whose
+    # bits 0, 8 and 16 are the parities of fields 0, 1 and 2 of diagonal d,
+    # that is of coefficients 2d, 2d+1 and 2d+2.
+    skewed = padded.reshape(blocks, 2 * h * h)[:, :h * (2 * h - 1)].reshape(blocks, h, 2 * h - 1)
+    diagonals = ws.diagonals[:blocks]
+    np.bitwise_xor.reduce(skewed, axis=1, out=diagonals[:, 1:2 * h])
+    # Bit 16 of each diagonal XORed into bit 0 of the next leaves, in bits 0
+    # and 8 of the low half of diagonal d, coefficients 2d and 2d+1: read
+    # little-endian, the halves' bytes are coefficients 0, 1, 2, ... in order.
+    pairs = ws.coefficient_pairs[:blocks]
+    np.right_shift(diagonals[:, :-1], 16, out=pairs, casting="unsafe")
+    np.bitwise_xor(pairs, diagonals[:, 1:], out=pairs, casting="unsafe")
+    np.bitwise_and(pairs, 0x0101, out=pairs)
+    # Coefficients past 2q-2 are zero (an odd q's pad bits).
+    coefficients = ws.coefficients[:blocks]
+    np.copyto(coefficients, pairs.view(np.uint8)[:, :2 * q - 1])
+    reduced = np.matmul(coefficients, ws.reduction)
     return reduced.astype(np.uint8) & 1
 
 
@@ -203,7 +266,10 @@ class Extraction:
 
     def __iter__(self) -> Iterator[OutputChunk]:
         with self._session():
-            yield from self._chunks()
+            for bits, width, window in self._batches():
+                for value in bit_rows_to_ints(bits):
+                    self._commit(1, width, window)
+                    yield OutputChunk(self._blocks_done, value, width)
 
     @contextlib.contextmanager
     def _session(self) -> Iterator[None]:
@@ -221,11 +287,13 @@ class Extraction:
         finally:
             self._finalize(time.perf_counter() - t0)
 
-    def _chunks(self) -> Iterator[OutputChunk]:
+    def _batches(self) -> Iterator[tuple[np.ndarray, int, int]]:
         # Computes each run of equal-width blocks of the schedule in batches
-        # (in incremental mode a run is one block), but consumes a block's
-        # windows only as its chunk is yielded, and reads the streams exactly
-        # as a block-by-block read would (see _ready_blocks).
+        # (in incremental mode a run is one block) and yields each batch's
+        # output bits (blocks, width) with its width and window.  It consumes
+        # nothing: the caller commits the blocks it delivers (_commit), all of
+        # a batch before asking for the next, and the streams are read
+        # exactly as a block-by-block read would (see _ready_blocks).
         n = self.plan.vec_len
         limit = self._block_limit
         while limit is None or self._blocks_done < limit:
@@ -243,13 +311,7 @@ class Extraction:
                 if ws is None or ws.q != width:
                     self._workspace = ws = None  # free the old arrays first
                     self._workspace = ws = _Workspace(want, width, n)
-                bits = _inner_products(ws, self._x, self._y, ready, n)
-                for value in bit_rows_to_ints(bits):
-                    self._x.advance(window)
-                    self._y.advance(window)
-                    self._blocks_done += 1
-                    self._output_bits += width
-                    yield OutputChunk(self._blocks_done, value, width)
+                yield _inner_products(ws, self._x, self._y, ready, n), width, window
             if ready < want:
                 # A block-by-block read would have asked both streams for the
                 # next window; the one that had it consumed it.
@@ -259,6 +321,13 @@ class Extraction:
                 self._stop_reason = "input-exhausted"
                 return
         self._stop_reason = "completed" if limit == self._planned_blocks else "block-limit"
+
+    def _commit(self, blocks: int, width: int, window: int) -> None:
+        """Count the next `blocks` blocks as done: consume their windows, credit their bits."""
+        self._x.advance(blocks * window)
+        self._y.advance(blocks * window)
+        self._blocks_done += blocks
+        self._output_bits += blocks * width
 
     def _ready_blocks(self, want: int, window: int) -> int:
         """Fill both readers for up to `want` blocks; how many both can serve.
@@ -317,26 +386,51 @@ class Extraction:
         """Consume the whole run; optionally pack chunks into `sink`.
 
         Chunk bits are concatenated in block order and packed little-endian
-        into bytes; each chunk's completed bytes are written as soon as it
-        is made, in full even when `sink` takes only part of a write.  The
-        final partial byte is zero-padded, `sink` is flushed if it can be,
-        and the pad length is recorded in the report.  A write or flush that
-        fails ends the run as ``interrupted``, with no pad.
+        into bytes; each chunk's completed bytes are written as soon as its
+        batch is made, in full even when `sink` takes only part of a write.
+        The final partial byte is zero-padded, `sink` is flushed if it can
+        be, and the pad length is recorded in the report.  A write or flush
+        that fails ends the run as ``interrupted``, with no pad, and the
+        blocks counted through the chunk whose bytes were refused.
         """
-        writer = BitWriter()
+        pending = np.zeros(0, np.uint8)
         with self._session():
-            for chunk in self._chunks():
-                if sink is not None and (data := writer.write_bits(chunk.bits, chunk.width)):
-                    _write_all(sink, data)
+            for bits, width, window in self._batches():
+                if sink is None:
+                    self._commit(len(bits), width, window)
+                else:
+                    pending = self._write_batch(sink, pending, bits, width, window)
             if sink is not None:
-                data, pad = writer.getvalue()
-                if data:
-                    _write_all(sink, data)
+                if len(pending):
+                    _write_all(sink, np.packbits(pending, bitorder="little").tobytes())
                 if hasattr(sink, "flush"):
                     sink.flush()
         if sink is not None:
-            self.report.pad_bits = pad
+            self.report.pad_bits = -len(pending) % 8
         return self.report
+
+    def _write_batch(self, sink, pending: np.ndarray, bits: np.ndarray, width: int,
+                     window: int) -> np.ndarray:
+        """Write the whole bytes each chunk of a batch completes; the bits left over.
+
+        The `pending` bits left over from the batches before lead one packing
+        of the batch.  Each chunk writes its completed bytes, if any, as one
+        slice; the chunks are committed through the one being written, also
+        when its write fails.
+        """
+        lead = len(pending)
+        stream = np.concatenate((pending, bits.ravel()))
+        data = np.packbits(stream, bitorder="little").tobytes()
+        start = done = 0
+        try:
+            for done in range(1, len(bits) + 1):
+                end = (lead + done * width) >> 3
+                if end > start:
+                    _write_all(sink, data[start:end])
+                    start = end
+        finally:
+            self._commit(done, width, window)
+        return stream[8 * start:]
 
 
 def _write_all(sink, data: bytes) -> None:

@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -719,6 +720,76 @@ def test_one_block_near_rate_one_half_matches_scalar_reference():
     assert peak < 2_000_000
     assert len(chunks) == 1
     assert chunks[0].bits == ext_ip(field(80), _elements(xb, 0, 80, n), _elements(yb, 0, 80, n))
+
+
+# ---------- the pair-packed kernel ----------
+
+def _widths_and_lengths():
+    """Every width, with n at 1 and around one and two products of elements."""
+    for q in range(1, MAX_FIELD_BITS + 1):
+        step = extractor._Workspace(1, q, 1).step
+        yield q, sorted({1, max(1, step - 1), step, step + 1, 2 * step + 1})
+
+
+def test_pair_packed_counts_at_their_ceiling_match_the_scalar_reference():
+    # All-ones windows put every bit count of a pair-packed product at its
+    # ceiling (127, 254 and 127 over 127 elements), where a field that
+    # carried into the next would flip a parity; the last n is one element
+    # past the decoded span.  Two blocks each, so a batch holds both.
+    for q, lengths in _widths_and_lengths():
+        ctx = field(q)
+        for n in lengths + [extractor._BATCH_BUDGET // q + 1]:
+            data = b"\xff" * (2 * q * n // 8 + 1)
+            chunks = [c.bits for c in extract_eq(data, data, tiny_eq_plan(1, 2 * q * n, "3/4", n, q))]
+            # n equal products cancel in pairs: an odd n leaves one.
+            k = 2 - n % 2
+            assert chunks == [ext_ip(ctx, [ctx.mask] * k, [ctx.mask] * k)] * 2, (q, n)
+
+
+def test_pair_packed_random_windows_match_the_scalar_reference():
+    for q, lengths in _widths_and_lengths():
+        ctx = field(q)
+        rnd = random.Random(q)
+        for n in lengths:
+            xb, yb = rnd.randbytes(q * n // 8 + 1), rnd.randbytes(q * n // 8 + 1)
+            chunks = [c.bits for c in extract_eq(xb, yb, tiny_eq_plan(1, q * n, "3/4", n, q))]
+            assert chunks == [ext_ip(ctx, _elements(xb, 0, q, n), _elements(yb, 0, q, n))], (q, n)
+        # One element past the decoded span: random elements at both ends
+        # and around the span's end, zero elsewhere (a zero element adds
+        # nothing to the inner product).
+        span = extractor._BATCH_BUDGET // q
+        n = span + 1
+        support = [0, 1, 2, span - 2, span - 1, span]
+        xs, ys = ([rnd.getrandbits(q) for _ in support] for _ in range(2))
+        xb, yb = (sum(v << q * i for v, i in zip(vs, support)).to_bytes(q * n // 8 + 1, "little")
+                  for vs in (xs, ys))
+        chunks = [c.bits for c in extract_eq(xb, yb, tiny_eq_plan(1, q * n, "3/4", n, q))]
+        assert chunks == [ext_ip(ctx, xs, ys)], q
+
+
+def test_extraction_products_stay_within_the_blas_block(monkeypatch):
+    # Every float product of the engine takes at most _GEMM_CELLS
+    # multiply-adds per matrix, so OpenBLAS never starts its worker thread,
+    # and every pair-packed product sums at most 127 elements, so no bit
+    # count carries into the next field.
+    real = np.matmul
+    shapes = []
+
+    def counted(a, b, *args, **kwargs):
+        shapes.append((np.shape(a), np.shape(b)))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    rnd = random.Random(24)
+    for q in (1, 2, 33, 80, 90, 127, 128):
+        for n in (71, 300):
+            blocks = _batch_size(q, n) + 1   # a full batch and a short one
+            xb, yb = (rnd.randbytes((blocks * q * n + 7) // 8) for _ in range(2))
+            plan = tiny_eq_plan(1, blocks * q * n, "3/4", n, q)
+            assert extract_eq(xb, yb, plan).run().blocks_completed == blocks
+    assert max(a[-2] * a[-1] * b[-1] for a, b in shapes) <= extractor._GEMM_CELLS
+    elements = [a[-1] for a, _ in shapes if len(a) == 3]
+    assert elements and max(elements) == 127
 
 
 # ---------- memory and the batch workspace ----------
