@@ -49,10 +49,13 @@ class BitReader:
         """Buffer at least nbits unconsumed bits if the stream has them.
 
         Returns whether they are buffered.  Each stream read asks for
-        max(READ_SIZE, missing bytes), so the bytes taken from the stream
-        depend only on the sequence of fill targets.  Only an empty read is
-        the end of the stream: a non-blocking stream that has no data ready
-        (its read returns None) raises BlockingIOError.
+        max(READ_SIZE, missing bytes), and a short read is read again until
+        nbits are buffered, so the bytes taken from the stream depend on the
+        sequence of fill targets and, for a stream whose reads may return
+        fewer bytes than asked (a raw pipe or terminal), on those read
+        sizes.  Only an empty read is the end of the stream: a non-blocking
+        stream that has no data ready (its read returns None) raises
+        BlockingIOError.
         """
         while self.tail_bits() < nbits and not self._exhausted:
             need = max(READ_SIZE, (nbits - self.tail_bits() + 7) // 8)

@@ -182,12 +182,16 @@ def _extract(args, extract, plan, **options) -> int:
         for flag, path in (("--out", args.out), ("--report", args.report)):
             _refuse_standard_input_as(stdin_flag, flag, path, regular_only=True)
     _refuse_same_files(*sources, ("--out", args.out), ("--report", args.report))
+    # Unbuffered: each read returns what the OS has to Python, which sees a
+    # SIGINT before the next read blocks, and each batch's bytes reach --out
+    # as soon as the batch is made.
     with contextlib.ExitStack() as stack:
-        fx, fy = (sys.stdin.buffer if path == "-" else stack.enter_context(open(path, "rb"))
+        fx, fy = (getattr(sys.stdin.buffer, "raw", sys.stdin.buffer) if path == "-"
+                  else stack.enter_context(open(path, "rb", buffering=0))
                   for path in (args.x, args.y))
         run = extract(fx, fy, plan, workers=args.workers, **options)
         try:
-            with open(args.out, "wb") as out:
+            with open(args.out, "wb", buffering=0) as out:
                 run.run(out)
         finally:
             if run.report is not None:

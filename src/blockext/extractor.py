@@ -26,10 +26,10 @@ so its memory is bounded by _BATCH_BUDGET and not by the input length, and
 a long run allocates nothing large after its first batch.  One producer
 yields each batch's output bits and consumes nothing; iteration expands a
 batch into chunks, committing each as it is yielded, and
-:meth:`Extraction.run` packs the batch once and writes the bytes each chunk
-completes; both run in one session, which reports once, however the run
-ends.  :func:`ext_ip` stays as the independent scalar reference; the two
-share only the shipped modulus table.
+:meth:`Extraction.run` commits the whole batch, packs it once and writes
+its completed bytes in one write; both run in one session, which
+reports once, however the run ends.  :func:`ext_ip` stays as the
+independent scalar reference; the two share only the shipped modulus table.
 """
 
 from __future__ import annotations
@@ -266,9 +266,9 @@ class Extraction:
 
     def __iter__(self) -> Iterator[OutputChunk]:
         with self._session():
-            for bits, width, window in self._batches():
+            for bits, width in self._batches():
                 for value in bit_rows_to_ints(bits):
-                    self._commit(1, width, window)
+                    self._commit(1, width)
                     yield OutputChunk(self._blocks_done, value, width)
 
     @contextlib.contextmanager
@@ -287,10 +287,10 @@ class Extraction:
         finally:
             self._finalize(time.perf_counter() - t0)
 
-    def _batches(self) -> Iterator[tuple[np.ndarray, int, int]]:
+    def _batches(self) -> Iterator[tuple[np.ndarray, int]]:
         # Computes each run of equal-width blocks of the schedule in batches
         # (in incremental mode a run is one block) and yields each batch's
-        # output bits (blocks, width) with its width and window.  It consumes
+        # output bits (blocks, width) with its width.  It consumes
         # nothing: the caller commits the blocks it delivers (_commit), all of
         # a batch before asking for the next, and the streams are read
         # exactly as a block-by-block read would (see _ready_blocks).
@@ -311,7 +311,7 @@ class Extraction:
                 if ws is None or ws.q != width:
                     self._workspace = ws = None  # free the old arrays first
                     self._workspace = ws = _Workspace(want, width, n)
-                yield _inner_products(ws, self._x, self._y, ready, n), width, window
+                yield _inner_products(ws, self._x, self._y, ready, n), width
             if ready < want:
                 # A block-by-block read would have asked both streams for the
                 # next window; the one that had it consumed it.
@@ -322,8 +322,9 @@ class Extraction:
                 return
         self._stop_reason = "completed" if limit == self._planned_blocks else "block-limit"
 
-    def _commit(self, blocks: int, width: int, window: int) -> None:
+    def _commit(self, blocks: int, width: int) -> None:
         """Count the next `blocks` blocks as done: consume their windows, credit their bits."""
+        window = width * self.plan.vec_len
         self._x.advance(blocks * window)
         self._y.advance(blocks * window)
         self._blocks_done += blocks
@@ -386,20 +387,23 @@ class Extraction:
         """Consume the whole run; optionally pack chunks into `sink`.
 
         Chunk bits are concatenated in block order and packed little-endian
-        into bytes; each chunk's completed bytes are written as soon as its
-        batch is made, in full even when `sink` takes only part of a write.
+        into bytes; each batch's completed bytes go to `sink` in one write
+        as soon as the batch is made (what a short write leaves, again).
         The final partial byte is zero-padded, `sink` is flushed if it can
         be, and the pad length is recorded in the report.  A write or flush
         that fails ends the run as ``interrupted``, with no pad, and the
-        blocks counted through the chunk whose bytes were refused.
+        blocks counted through the batch whose bytes were refused.
         """
         pending = np.zeros(0, np.uint8)
         with self._session():
-            for bits, width, window in self._batches():
-                if sink is None:
-                    self._commit(len(bits), width, window)
-                else:
-                    pending = self._write_batch(sink, pending, bits, width, window)
+            for bits, width in self._batches():
+                # Committed before its write, so a write that fails counts it.
+                self._commit(len(bits), width)
+                stream = np.concatenate((pending, bits.ravel()))
+                whole = len(stream) & ~7
+                if sink is not None and whole:
+                    _write_all(sink, np.packbits(stream[:whole], bitorder="little").tobytes())
+                pending = stream[whole:]
             if sink is not None:
                 if len(pending):
                     _write_all(sink, np.packbits(pending, bitorder="little").tobytes())
@@ -408,29 +412,6 @@ class Extraction:
         if sink is not None:
             self.report.pad_bits = -len(pending) % 8
         return self.report
-
-    def _write_batch(self, sink, pending: np.ndarray, bits: np.ndarray, width: int,
-                     window: int) -> np.ndarray:
-        """Write the whole bytes each chunk of a batch completes; the bits left over.
-
-        The `pending` bits left over from the batches before lead one packing
-        of the batch.  Each chunk writes its completed bytes, if any, as one
-        slice; the chunks are committed through the one being written, also
-        when its write fails.
-        """
-        lead = len(pending)
-        stream = np.concatenate((pending, bits.ravel()))
-        data = np.packbits(stream, bitorder="little").tobytes()
-        start = done = 0
-        try:
-            for done in range(1, len(bits) + 1):
-                end = (lead + done * width) >> 3
-                if end > start:
-                    _write_all(sink, data[start:end])
-                    start = end
-        finally:
-            self._commit(done, width, window)
-        return stream[8 * start:]
 
 
 def _write_all(sink, data: bytes) -> None:

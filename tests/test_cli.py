@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -242,7 +243,7 @@ def test_extract_to_a_full_device_reports_interrupted(tmp_path, capsys):
     x.write_bytes(bytes(range(250)) * 4)
     y.write_bytes(bytes(range(5, 255)) * 4)
     report = tmp_path / "r.txt"
-    # 12 output bytes: every write fits the file buffer, and the flush fails.
+    # 12 output bytes in one batch: its one write fails.
     assert run_cli("extract-eq", "--x", str(x), "--y", str(y), "--out", "/dev/full",
                    "--b", "16", "--delta", "10.74/16", "--epsilon", "2^-20",
                    "--N", "2^9", "--report", str(report)) == 5
@@ -426,6 +427,44 @@ def test_sigint_leaves_a_prefix_and_an_interrupted_report(tmp_path, flags):
     written = out.read_bytes()
     assert whole.getvalue().startswith(written)
     assert 8 * len(written) <= rep.output_bits
+
+
+def test_extract_writes_output_while_standard_input_stays_open(tmp_path):
+    # The headline q=80 plan (n = 71, 710-byte windows, batches of 20 blocks)
+    # fed 100 windows on a pipe kept open: all 100 blocks' 1,000 output
+    # bytes must reach --out before standard input closes.
+    rnd = random.Random(37)
+    xb, yb = rnd.randbytes(100 * 710), rnd.randbytes(200 * 710)
+    y, out, report = tmp_path / "y.bin", tmp_path / "z.bin", tmp_path / "r.txt"
+    y.write_bytes(yb)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "blockext.cli", "extract-eq", "--b", "16", "--delta",
+            "10.74/16", "--N", "2^47", "--epsilon", "2^-30", "--x", "-", "--y", str(y),
+            "--out", str(out), "--report", str(report)]
+    with subprocess.Popen(argv, stdin=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          env=env) as child:
+        # More than a pipe buffer: the write returns only once the run is reading.
+        feeder = threading.Thread(target=lambda: (child.stdin.write(xb), child.stdin.flush()))
+        try:
+            feeder.start()
+            deadline = time.monotonic() + 30
+            while not (out.exists() and out.stat().st_size >= 1000):
+                assert time.monotonic() < deadline, "output held back while the input is open"
+                assert child.poll() is None
+                time.sleep(0.05)
+            feeder.join(timeout=60)
+            child.stdin.close()
+            assert child.wait(timeout=60) == 0
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+            feeder.join(timeout=60)
+    rep = ExtractionReport.from_text(report.read_text())
+    assert (rep.plan.field_bits, rep.plan.vec_len) == (80, 71)
+    assert rep.stop_reason == "input-exhausted" and rep.blocks_completed == 100
+    whole = io.BytesIO()
+    extract_eq(xb, yb, rep.plan).run(whole)
+    assert out.read_bytes() == whole.getvalue()
 
 
 def test_closed_output_pipe_leaves_a_prefix_and_an_interrupted_report(tmp_path):

@@ -319,14 +319,16 @@ def test_sink_failing_mid_run_leaves_a_prefix_and_an_interrupted_report(mode):
     rnd = random.Random(20)
     xb, yb = rnd.randbytes(32768), rnd.randbytes(32768)
     if mode == "eq":
-        # 46 blocks of 80 bits in batches of 20: write 25 falls mid-batch.
+        # 46 blocks of 80 bits in batches of 20: one write per batch, 3 in all.
         extract, plan = extract_eq, tiny_eq_plan(16, 16384, "10.74/16", 71, 80)
+        fail_ats = (1, 2, 3)
     else:
-        # Widths 6, 9, 12, ...: most chunks leave bits pending.
+        # Widths 6, 9, 12, ...: one block per batch, most leave bits pending.
         extract, plan = extract_neq, plan_neq(3, "3/4", 6, 1)
+        fail_ats = (1, 2, 25)
     whole = io.BytesIO()
     extract(xb, yb, plan).run(whole)
-    for fail_at in (1, 2, 25):
+    for fail_at in fail_ats:
         sink = FailingSink(fail_at)
         run = extract(xb, yb, plan)
         with pytest.raises(BrokenPipeError):
@@ -335,7 +337,9 @@ def test_sink_failing_mid_run_leaves_a_prefix_and_an_interrupted_report(mode):
         assert rep.stop_reason == "interrupted" and rep.pad_bits is None
         assert whole.getvalue().startswith(sink.data + sink.refused)
         assert 8 * len(sink.data) <= rep.output_bits
-        # Blocks count through the chunk whose bytes were refused.
+        # Blocks count through the batch whose bytes were refused.
+        if mode == "eq":
+            assert rep.blocks_completed == min(fail_at * _batch_size(80, 71), plan.num_blocks)
         assert rep.output_bits // 8 == len(sink.data) + len(sink.refused)
         assert rep.output_bits == sum(
             c.width for c in extract(xb, yb, plan, max_blocks=rep.blocks_completed))
