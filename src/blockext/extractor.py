@@ -35,6 +35,8 @@ independent scalar reference; the two share only the shipped modulus table.
 from __future__ import annotations
 
 import contextlib
+import errno
+import io
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -119,8 +121,8 @@ class _Workspace:
     allocates nothing large: arrays of this size allocated per batch are
     mapped from the OS and faulted in again every time.  As
     blocks * q * max(q, n) <= _BATCH_BUDGET unless blocks == 1, it holds at
-    most 44 * _BATCH_BUDGET bytes (at q = n = 1; 19 from q = 2 on, under 7
-    at q = 80, n = 71), or 2.5 * _BATCH_BUDGET + 12 * h * h for one block,
+    most 40 * _BATCH_BUDGET bytes (at q = n = 1; 16 from q = 2 on, under 7
+    at q = 80, n = 71), or _BATCH_BUDGET / 2 + 12 * h * h for one block,
     besides the reduction matrix's 4 * (2q - 1) * q.
     """
 
@@ -141,25 +143,21 @@ class _Workspace:
         self.diagonals = np.zeros((blocks, 2 * h + 1), np.int32)
         self.coefficient_pairs = np.empty((blocks, 2 * h), "<u2")
         self.coefficients = np.empty((blocks, 2 * q - 1), np.float32)
-        # An odd width decodes through elements of q + 1 bits, the last zero.
-        self.pads = np.zeros((2, blocks, self.span, q + 1), np.uint8) if q & 1 else None
         self.reduction = _reduction_matrix(q)
 
-    def bit_pairs(self, side: int, bits: np.ndarray, blocks: int, rows: int) -> np.ndarray:
-        """Peeked bits (blocks*rows*q of them) as (blocks, rows, h) uint16 bit pairs.
 
-        Pair a of an element is its bit 2a plus 256 times its bit 2a + 1,
-        read little-endian whatever the machine's byte order.
-        """
-        bits = bits.reshape(blocks, rows, self.q)
-        if self.pads is not None:
-            # Each element's q bytes copied as one item: a loop over
-            # elements, not over bits.
-            pad = self.pads[side, :blocks, :rows]
-            item = f"V{self.q}"
-            np.copyto(pad[:, :, :self.q].view(item), bits.view(item))
-            bits = pad
-        return bits.view("<u2")
+def _copy_pairs(out: np.ndarray, bits: np.ndarray) -> None:
+    """Copy elements' bits (..., q) into their float32 pair operands out (..., h).
+
+    Pair a of an element is its bit 2a plus 256 times its bit 2a + 1: the
+    first 2 * floor(q/2) bits viewed as '<u2', read little-endian whatever
+    the machine's byte order.  An odd q's last bit is an operand of its own,
+    a pair whose bit 2a + 1 is zero.
+    """
+    if bits.shape[-1] & 1:
+        np.copyto(out[..., -1], bits[..., -1])
+        out, bits = out[..., :-1], bits[..., :-1]
+    np.copyto(out, bits.view("<u2"))
 
 
 def _inner_products(ws: _Workspace, x: BitReader, y: BitReader, blocks: int,
@@ -173,11 +171,11 @@ def _inner_products(ws: _Workspace, x: BitReader, y: BitReader, blocks: int,
     C's anti-diagonals i + j = k are the 2q-1 coefficients of the unreduced
     sum of carry-less products.  The product is pair-packed: with bits 2a
     and 2a+1 of each element read as one operand x[2a] + 256*x[2a+1] (an
-    odd q pads each element with a zero bit), the h x h product G = X2^T Y2
-    holds G[a, b] = F0 + 256*F1 + 65536*F2, with F0 = C[2a, 2b],
-    F1 = C[2a+1, 2b] + C[2a, 2b+1] and F2 = C[2a+1, 2b+1], the counts of
-    coefficients 2(a+b), 2(a+b)+1 and 2(a+b)+2: a quarter of the
-    multiply-adds of the q x q product.  Bits 0, 8 and 16 of G are the three
+    odd q's last bit is an operand of its own, x[q-1] + 256*0), the h x h
+    product G = X2^T Y2 holds G[a, b] = F0 + 256*F1 + 65536*F2, with
+    F0 = C[2a, 2b], F1 = C[2a+1, 2b] + C[2a, 2b+1] and F2 = C[2a+1, 2b+1],
+    the counts of coefficients 2(a+b), 2(a+b)+1 and 2(a+b)+2: a quarter of
+    the multiply-adds of the q x q product.  Bits 0, 8 and 16 of G are the three
     parities.  One multiply by the reduction matrix then reduces the
     coefficients modulo the field's modulus.  The result is a new array;
     the workspace is scratch for the next batch.
@@ -191,13 +189,13 @@ def _inner_products(ws: _Workspace, x: BitReader, y: BitReader, blocks: int,
     for lo in range(0, n, ws.span):
         rows = min(n, lo + ws.span) - lo
         # One block, or whole windows: either way the bits are contiguous.
-        xs = ws.bit_pairs(0, x.peek(lo * q, blocks * rows * q), blocks, rows)
-        ys = ws.bit_pairs(1, y.peek(lo * q, blocks * rows * q), blocks, rows)
+        xs = x.peek(lo * q, blocks * rows * q).reshape(blocks, rows, q)
+        ys = y.peek(lo * q, blocks * rows * q).reshape(blocks, rows, q)
         for k in range(0, rows, step):
             m = min(step, rows - k)
             xf, yf = ws.xf[:blocks, :m], ws.yf[:blocks, :m]
-            np.copyto(xf, xs[:, k:k + m])
-            np.copyto(yf, ys[:, k:k + m])
+            _copy_pairs(xf, xs[:, k:k + m])
+            _copy_pairs(yf, ys[:, k:k + m])
             np.matmul(xf.transpose(0, 2, 1), yf, out=counts)
             if lo == k == 0:
                 np.copyto(left, counts, casting="unsafe")
@@ -217,7 +215,7 @@ def _inner_products(ws: _Workspace, x: BitReader, y: BitReader, blocks: int,
     np.right_shift(diagonals[:, :-1], 16, out=pairs, casting="unsafe")
     np.bitwise_xor(pairs, diagonals[:, 1:], out=pairs, casting="unsafe")
     np.bitwise_and(pairs, 0x0101, out=pairs)
-    # Coefficients past 2q-2 are zero (an odd q's pad bits).
+    # Coefficients past 2q-2 are zero (an odd q's last operand has no bit q).
     coefficients = ws.coefficients[:blocks]
     np.copyto(coefficients, pairs.view(np.uint8)[:, :2 * q - 1])
     reduced = np.matmul(coefficients, ws.reduction)
@@ -418,10 +416,17 @@ def _write_all(sink, data: bytes) -> None:
     """Write all of `data`, again after a short write.
 
     A raw sink may take fewer bytes than it is given (`io.RawIOBase.write`
-    returns the count).  A write that takes no bytes raises OSError; one
-    that returns None, as duck-typed sinks do, took everything.
+    returns the count).  A write that takes no bytes raises OSError.  A raw
+    sink's None means it took nothing because it would block (a
+    non-blocking file), which raises BlockingIOError; a duck-typed sink's
+    None means it took everything.
     """
-    while (written := sink.write(data)) is not None and written < len(data):
+    while data:
+        written = sink.write(data)
+        if written is None:
+            if isinstance(sink, io.RawIOBase):
+                raise BlockingIOError(errno.EAGAIN, f"sink would block on {len(data)} bytes")
+            return
         if written < 1:
             raise OSError(f"sink took no bytes of {len(data)}")
         data = data[written:]

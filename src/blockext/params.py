@@ -264,12 +264,21 @@ def error_bound_block(vec_len: int, field_bits: int, entropy_rate) -> float:
     Evaluates log2(sqrt(3)) - 1/4 - (rate/4 - 1/8) * q * n + 2 * q in double
     precision with a fixed evaluation order.
     """
+    coeff = _rate_coefficient(vec_len, field_bits, entropy_rate)
+    return _block_log2(coeff, vec_len, field_bits)
+
+
+def _rate_coefficient(vec_len: int, field_bits: int, entropy_rate) -> float:
+    """float(rate/4 - 1/8) of :func:`error_bound_block`, once its arguments are checked."""
     entropy_rate = as_rational(entropy_rate, "entropy_rate")
     if vec_len < 1 or field_bits < 1:
         raise ValueError("vec_len and field_bits must be >= 1")
     if not Fraction(1, 2) < entropy_rate <= 1:
         raise ValueError(f"entropy rate {entropy_rate} outside (1/2, 1]")
-    coeff = float(entropy_rate / 4 - Fraction(1, 8))
+    return float(entropy_rate / 4 - Fraction(1, 8))
+
+
+def _block_log2(coeff: float, vec_len: int, field_bits: int) -> float:
     return LOG2_SQRT3 - 0.25 - coeff * (field_bits * vec_len) + 2.0 * field_bits
 
 
@@ -319,10 +328,10 @@ def error_bound_neq(plan: NeqPlan, k: int | None = None) -> float:
     if plan.growth == 0:
         first = error_bound_block(plan.vec_len, plan.first_field_bits, plan.entropy_rate)
         return first + math.log2(k)
-    terms = [
-        error_bound_block(plan.vec_len, plan.field_bits_for_block(i), plan.entropy_rate)
-        for i in range(1, k + 1)
-    ]
+    # One rate coefficient, then the same float expression for every block.
+    coeff = _rate_coefficient(plan.vec_len, plan.first_field_bits, plan.entropy_rate)
+    terms = [_block_log2(coeff, plan.vec_len, plan.field_bits_for_block(i))
+             for i in range(1, k + 1)]
     anchor = terms[0]
     acc = 0.0
     for t in terms:

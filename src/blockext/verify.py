@@ -73,13 +73,25 @@ every field element with every window value, built from per-bit shift
 tables by schoolbook expansion, by doubling: the columns of values with top
 bit j are the columns below them XOR shift table j, so each cell is written
 once.  No table shares code with the extractor.
+
+Working set.  Besides the tables an instance needs, every temporary holds
+at most _CELL_BUDGET cells: the table builders, the every-cell guards, the
+spectra, the Walsh transform, the support pairs and the distance weights
+work in chunks of rows or batches of pairs sized by it, with index arrays
+in the narrowest unsigned dtype that holds them exactly.  A bias instance
+keeps one dense 2^t x 2^t table live (the log tables are read off
+z = <x, y> first, then z becomes brow[z] in place), and the shift and
+window tables are cached for the current width only, so a sweep over q
+holds one width's tables.  Chunking changes no verdict or integer; the
+distance's float64 sums follow the chunks, and are exact for the uniform
+and flat sources `verify` draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, wraps
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -91,8 +103,7 @@ from .params import LOG2_SQRT3
 
 MAX_HADAMARD_BITS = 16
 MAX_DENSE_BITS = 12       # full 2^t x 2^t inner-product tables
-_ROW_CHUNK = 512
-_LOOKUP_BATCH = 1 << 16   # one-bit bias: table entries per batch of support pairs
+_CELL_BUDGET = 1 << 15    # cells of each temporary array: the working-set rule (module docstring)
 _GRAM_BLOCK_OPS = 1 << 18  # multiply-adds per float product; OpenBLAS threads above this
 EXHAUSTIVE_LIMIT = 10**5  # one-bit bias: enumerate supports up to this many
 SAMPLED_PAIRS = 200       # one-bit bias: seeded support pairs tested otherwise
@@ -101,14 +112,34 @@ _SUPPORT_DRAWS = 32       # one-bit bias: draws kept, all of `verify --suite bia
 
 # ---------- vectorized schoolbook tables ----------
 
-@cache
+def _width_cache(build):
+    """Cache build(ctx, *args), keeping the tables of one width only.
+
+    A call for another q drops every entry before it builds, so a sweep
+    over the widths holds one width's tables at a time, never all of them.
+    """
+    entries = {}
+
+    @wraps(build)
+    def cached(ctx: GFContext, *args):
+        key = (ctx.q, *args)
+        if key not in entries:
+            if any(q != ctx.q for q, *_ in entries):
+                entries.clear()
+            entries[key] = build(ctx, *args)
+        return entries[key]
+
+    return cached
+
+
+@_width_cache
 def shift_tables(ctx: GFContext) -> list[np.ndarray]:
     """T[j][v] = v * x^j mod modulus, for all q-bit v and 0 <= j < q.
 
     Built entrywise by shift-and-reduce, so each entry is an independent
     polynomial computation; combining them per set bit of a multiplier is
-    exactly the schoolbook carry-less product.  Cached per context; treat
-    the returned arrays as read-only.
+    exactly the schoolbook carry-less product.  Cached for the current
+    width only; treat the returned arrays as read-only.
     """
     q = ctx.q
     values = np.arange(1 << q, dtype=np.uint32)
@@ -144,10 +175,10 @@ def walsh_transform(rows: np.ndarray) -> np.ndarray:
     read as an m1 x m2 matrix X (m1 = 2^ceil(t/2), m2 = 2^floor(t/2)),
     transforms to H_m1 X H_m2 in float64, in batches of rows whose right
     product and each left-product matrix take at most _GRAM_BLOCK_OPS
-    multiply-adds.  The length must be a power of two up to
-    2^MAX_DENSE_BITS and max|x| * length below 2^53, else ValueError: then
-    every product is +/-x and every partial sum an integer below 2^53,
-    exact in any summation order.
+    multiply-adds and _CELL_BUDGET cells.  The length must be a power of
+    two up to 2^MAX_DENSE_BITS and max|x| * length below 2^53, else
+    ValueError: then every product is +/-x and every partial sum an integer
+    below 2^53, exact in any summation order.
     """
     a = np.asarray(rows, dtype=np.int64)
     n = a.shape[-1]
@@ -160,7 +191,7 @@ def walsh_transform(rows: np.ndarray) -> np.ndarray:
     h1, h2 = _sylvester(m1), _sylvester(m2)
     flat = a.reshape(-1, n)
     out = np.empty(flat.shape, dtype=np.int64)
-    step = max(1, _GRAM_BLOCK_OPS // (n * m1))
+    step = max(1, min(_GRAM_BLOCK_OPS // (n * m1), _CELL_BUDGET // n))
     for start in range(0, len(flat), step):
         x = flat[start:start + step].reshape(-1, m2).astype(np.float64)
         out[start:start + step] = np.matmul(h1, np.matmul(x, h2).reshape(-1, m1, m2)).reshape(-1, n)
@@ -190,7 +221,7 @@ def _feasible(ctx: GFContext, n: int, cap: int, what: str) -> int:
     return t
 
 
-@cache
+@_width_cache
 def _window_table(ctx: GFContext, base: int, width: int) -> np.ndarray:
     """W[d, u] = d * (u << base) mod modulus, for all q-bit d, width-bit u.
 
@@ -198,6 +229,7 @@ def _window_table(ctx: GFContext, base: int, width: int) -> np.ndarray:
     schoolbook expansion of the product over a window of multiplier bits.
     Built by doubling, so each cell is written once: columns
     [2^j, 2^(j+1)) are columns [0, 2^j) XOR shift-table column base + j.
+    Cached for the current width only.
     """
     tables = shift_tables(ctx)
     w = np.empty((1 << ctx.q, 1 << width), dtype=np.uint16)
@@ -216,32 +248,60 @@ def _ip_rows(ctx: GFContext, n: int, d_values: np.ndarray) -> np.ndarray:
     """Rows of inner-product values: out[r, y] = <d_values[r], y> over all y.
 
     Vectorized schoolbook.  The y index is positional: each digit of y,
-    split into windows of at most 8 bits, contributes a per-row window table
-    placed on its own axis, and one broadcast XOR chain materializes all rows.
+    split into windows of at most 8 bits, contributes a per-row window-table
+    row.  The windows of y's high bits and of its low bits are XOR-chained
+    apart (split where the larger part is smallest), and one broadcast XOR
+    of the two parts writes each chunk of rows, so no temporary holds more
+    than _CELL_BUDGET cells however many rows are asked for.
     """
     q = ctx.q
-    d_values = np.asarray(d_values, dtype=np.int64)
-    rows = len(d_values)
-    axes = [(i, base, width) for i in range(n) for base, width in _windows(q)]
-    acc = None
-    for pos, (i, base, width) in enumerate(axes):
-        di = (d_values >> (i * q)) & ctx.mask
-        shape = [rows] + [1] * len(axes)
-        shape[len(axes) - pos] = 1 << width
-        part = _window_table(ctx, base, width)[di].reshape(shape)
-        acc = part if acc is None else acc ^ part
-    return np.ascontiguousarray(acc).reshape(rows, 1 << (q * n))
+    d_values = np.asarray(d_values)
+    # (digit, base, width) of each window of y, most significant first.
+    axes = [(i, base, width) for i in reversed(range(n)) for base, width in reversed(_windows(q))]
+    widths = [width for _, _, width in axes]
+    split = min(range(len(axes) + 1), key=lambda m: max(sum(widths[:m]), sum(widths[m:])))
+    out = np.empty((len(d_values), 1 << (q * n)), dtype=np.uint16)
+    rows = _rows_per_chunk(1 << max(sum(widths[:split]), sum(widths[split:])))
+    for start in range(0, len(d_values), rows):
+        d = d_values[start:start + rows]
+        high, low = _outer_xor(ctx, d, axes[:split]), _outer_xor(ctx, d, axes[split:])
+        np.bitwise_xor(high[:, :, None], low[:, None, :],
+                       out=out[start:start + rows].reshape(len(d), high.shape[1], low.shape[1]))
+    return out
+
+
+def _outer_xor(ctx: GFContext, d_values: np.ndarray, axes) -> np.ndarray:
+    """acc[r, u]: XOR over `axes` of each window table's row for d_values[r]'s digit.
+
+    u reads the axes' windows as one positional index, the first axis most
+    significant; with no axes, acc is one zero column.
+    """
+    acc = np.zeros((len(d_values), 1), dtype=np.uint16)
+    for i, base, width in axes:
+        part = _window_table(ctx, base, width)[(d_values >> (i * ctx.q)) & ctx.mask]
+        acc = (acc[:, :, None] ^ part[:, None, :]).reshape(len(d_values), -1)
+    return acc
 
 
 def ip_value_table(ctx: GFContext, n: int) -> np.ndarray:
     """Dense table of <x, y> for all x, y; feasible for q*n <= 12."""
     t = _feasible(ctx, n, MAX_DENSE_BITS, "dense inner-product table")
-    size = 1 << t
-    table = np.empty((size, size), dtype=np.uint16)
-    for start in range(0, size, _ROW_CHUNK):
-        table[start:start + _ROW_CHUNK] = _ip_rows(
-            ctx, n, np.arange(start, min(size, start + _ROW_CHUNK), dtype=np.int64))
-    return table
+    return _ip_rows(ctx, n, _offsets(1 << t))
+
+
+def _rows_per_chunk(width: int) -> int:
+    """Rows of `width` cells that one chunk of _CELL_BUDGET cells holds (at least one)."""
+    return max(1, _CELL_BUDGET // width)
+
+
+def _offsets(count: int, stride: int = 1) -> np.ndarray:
+    """0, stride, ..., (count - 1) * stride, in the narrowest exact unsigned dtype.
+
+    The dtype holds count * stride - 1, so an offset plus an index below
+    stride is exact in it too.
+    """
+    return np.arange(0, count * stride, stride,
+                     dtype=np.min_scalar_type(max(0, count * stride - 1)))
 
 
 # ---------- hadamard property ----------
@@ -331,17 +391,35 @@ def _hadamard_counts(ctx: GFContext) -> bool:
 def _linear_in_y(w: np.ndarray) -> bool:
     """Whether every row of w is GF(2)-linear in the column index y.
 
-    Checked over every cell, in blocks of _ROW_CHUNK rows: column y + 2^j
-    must equal column y XOR column 2^j for every y < 2^j (j = 0 forces
-    column 0 to be zero).  Pass w.T to check the row index.
+    Checked over every cell: column y + 2^j must equal column y XOR column
+    2^j for every y < 2^j (j = 0 forces column 0 to be zero), compared in
+    chunks of rows whose 2^j columns hold at most _CELL_BUDGET cells.
     """
     size = w.shape[1]
-    for start in range(0, len(w), _ROW_CHUNK):
-        block = w[start:start + _ROW_CHUNK]
-        for j in range(size.bit_length() - 1):
-            unit = 1 << j
+    for j in range(size.bit_length() - 1):
+        unit = 1 << j
+        rows = _rows_per_chunk(unit)
+        for start in range(0, len(w), rows):
+            block = w[start:start + rows]
             if not np.array_equal(block[:, unit:2 * unit],
                                   block[:, :unit] ^ block[:, unit:unit + 1]):
+                return False
+    return True
+
+
+def _linear_in_x(w: np.ndarray) -> bool:
+    """Whether every column of w is GF(2)-linear in the row index x.
+
+    The check of :func:`_linear_in_y` on the other axis, over every cell:
+    row x + 2^j must equal row x XOR row 2^j for every x < 2^j, compared in
+    chunks of whole rows within _CELL_BUDGET cells.
+    """
+    rows = _rows_per_chunk(w.shape[1])
+    for j in range(len(w).bit_length() - 1):
+        unit = 1 << j
+        for start in range(0, unit, rows):
+            stop = min(unit, start + rows)
+            if not np.array_equal(w[unit + start:unit + stop], w[start:stop] ^ w[unit]):
                 return False
     return True
 
@@ -359,14 +437,18 @@ def _rank_verdicts(ctx: GFContext) -> np.ndarray | None:
     e != 0 passes.  None when a window table is not bilinear.
     """
     q = ctx.q
-    columns = []
+    tables = []
     for base, width in _windows(q):
         w = _window_table(ctx, base, width)
-        if not (_linear_in_y(w) and _linear_in_y(w.T)):
+        if not (_linear_in_y(w) and _linear_in_x(w)):
             return None
-        columns.append(w[1:, 1 << np.arange(width)])
-    m = np.concatenate(columns, axis=1)
-    return np.all(m < 1 << q, axis=1) & (_gf2_ranks(m, q) == q)
+        tables.append((w, 1 << np.arange(width)))
+    perm = np.empty((1 << q) - 1, dtype=bool)
+    rows = _rows_per_chunk(q)
+    for start in range(1, 1 << q, rows):   # M(e) for a chunk of rows e
+        m = np.concatenate([w[start:start + rows, units] for w, units in tables], axis=1)
+        perm[start - 1:start - 1 + len(m)] = np.all(m < 1 << q, axis=1) & (_gf2_ranks(m, q) == q)
+    return perm
 
 
 def _gf2_ranks(columns: np.ndarray, bits: int) -> np.ndarray:
@@ -375,7 +457,7 @@ def _gf2_ranks(columns: np.ndarray, bits: int) -> np.ndarray:
     One pivot bit per step: a column holding the bit is XORed into every
     column holding it, itself included, and the pivots found are counted.
     """
-    cols = columns.astype(np.int64)
+    cols = columns.copy()   # reduced in place, in the table's own dtype
     rows = np.arange(len(cols))
     ranks = np.zeros(len(cols), dtype=np.int64)
     for bit in range(bits):
@@ -419,94 +501,124 @@ def bias_reports(ctx: GFContext, n: int, ks: Sequence[int], *,
                  seed: int = 0) -> Iterator[BiasReport]:
     """One :func:`check_one_bit_bias` report per entropy floor in ks, in order.
 
-    The tables are built once for all of ks; each k draws its support pairs
+    The table is built once for all of ks; each k draws its support pairs
     as :func:`check_one_bit_bias` does, from `seed`.  Each pair's spectrum
-    is the Walsh transform of its grouped histogram (4^k cells).  For a
-    batch of pairs at a time it comes instead, when n = 1 and the table
+    is the Walsh transform of its grouped histogram (4^k cells,
+    :func:`_literal_spectra`).  It comes instead, when n = 1 and the table
     passes the discrete-log guard, from a cyclic convolution of log
     indicators (:func:`_log_tables`, :func:`_log_spectra`), or, when q < k
     and the table is GF(2)-linear in y, from 2^k lookups per a in the Walsh
     transform of the y support (:func:`_y_functionals`,
-    :func:`_linear_spectra`).  All give the same integers.
+    :func:`_linear_spectra`).  All give the same integers.  One dense
+    table is live: the log tables are read off z = <x, y> first, then z
+    becomes brow[z] in place, chunk by chunk.
     """
     t = _feasible(ctx, n, MAX_DENSE_BITS, "one-bit bias check")
     for k in ks:
         if not 0 <= k <= t:
             raise ValueError(f"entropy floor k={k} outside 0..{t}")
     size = 1 << t
-    z = ip_value_table(ctx, n)
+    w = ip_value_table(ctx, n)
     brow = first_bit_rows(ctx)
-    logs = _log_tables(z) if n == 1 else None
-    functionals = cache(lambda: _y_functionals(brow[z], ctx.q))   # built at the first k > q
+    logs = _log_tables(w) if n == 1 else None
+    rows = _rows_per_chunk(size)
+    for start in range(0, size, rows):   # map each (x, y) cell straight to its functional group
+        w[start:start + rows] = brow[w[start:start + rows]]
+    functionals = cache(lambda: _y_functionals(w, ctx.q))   # built at the first k > q
 
     for k in ks:
         support = 1 << k
-        x_sets, y_sets, exhaustive = _support_pairs(size, support, seed)
-        batched = None
+        sets, exhaustive = _support_sets(size, support, seed)
+        # Each path's largest temporary per pair, in cells, sizes its batches.
         if logs is not None:
-            batched = partial(_log_spectra, logs, brow)
-            step = max(1, _LOOKUP_BATCH >> ctx.q)
+            spectra, cells = partial(_log_spectra, logs, brow), 1 << ctx.q
         elif ctx.q < k and functionals() is not None:
-            batched = partial(_linear_spectra, functionals())
-            step = max(1, _LOOKUP_BATCH // max(size, support << ctx.q))
-
-        denom = float(support) * float(support)
-        max_bias = 0.0
-        if batched is not None:
-            for start in range(0, len(x_sets), step):
-                spectra = batched(x_sets[start:start + step], y_sets[start:start + step])
-                max_bias = max(max_bias, float(np.abs(spectra[:, 1:]).max()) / denom)
+            spectra, cells = partial(_linear_spectra, functionals()), max(size, support << ctx.q)
         else:
-            w_of_z = brow[z]  # map each (x, y) cell straight to its functional group
-            for sx, sy in zip(x_sets, y_sets):
-                grouped = np.bincount(w_of_z[np.ix_(sx, sy)].ravel(), minlength=1 << ctx.q)
-                spectrum = walsh_transform(grouped)
-                # spectrum[a] = sum over support pairs of (-1)^f_a; bias = |spectrum|/4^k
-                bias = float(np.abs(spectrum[1:]).max()) / denom
-                max_bias = max(max_bias, bias)
+            spectra, cells = partial(_literal_spectra, w, ctx.q), max(support**2, 1 << ctx.q)
+        denom = float(support) * float(support)
+        max_bias, pairs = 0.0, 0
+        for sx, sy in _pair_batches(sets, exhaustive, _rows_per_chunk(cells)):
+            # spectra[p, a] = sum over pair p's cells of (-1)^f_a; bias = |spectrum| / 4^k
+            max_bias = max(max_bias, float(np.abs(spectra(sx, sy)[:, 1:]).max()) / denom)
+            pairs += len(sx)
         bound = 2.0 ** (1.0 - (2 * k - t) / 2.0)
-        yield BiasReport(t, k, max_bias, bound, len(x_sets), exhaustive)
+        yield BiasReport(t, k, max_bias, bound, pairs, exhaustive)
 
 
 @lru_cache(maxsize=_SUPPORT_DRAWS)
-def _support_pairs(size: int, support: int, seed: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The (x, y) support pairs of the bias check, as two (pairs, support) arrays.
+def _support_sets(size: int, support: int, seed: int) -> tuple[np.ndarray, bool]:
+    """The support sets of the bias check, and whether they are every subset.
 
-    Every pair of size-`support` subsets of range(size) when there are few
-    enough; otherwise SAMPLED_PAIRS seeded random pairs, x drawn before y.
-    Cached, because the draw depends on (t, k, seed) alone and every
-    instance (q, n) of one t = q * n repeats it; the arrays are read-only.
+    Every size-`support` subset of range(size) when there are few enough,
+    each ordered pair of them tested; otherwise 2 * SAMPLED_PAIRS seeded
+    random draws, pair p being draws 2p (x) and 2p + 1 (y).
+    :func:`_pair_batches` deals the pairs out.  Cached, because the draw
+    depends on (t, k, seed) alone and every instance (q, n) of one t = q * n
+    repeats it; the array is read-only.
     """
     n_subsets = math.comb(size, support)
     exhaustive = n_subsets <= EXHAUSTIVE_LIMIT and n_subsets**2 <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        subsets = np.array(list(combinations(range(size), support)), dtype=np.uint16)
-        x_sets, y_sets = np.repeat(subsets, n_subsets, axis=0), np.tile(subsets, (n_subsets, 1))
+        sets = np.array(list(combinations(range(size), support)), dtype=np.uint16)
     else:
         rng = np.random.default_rng(seed)
-        drawn = np.array([rng.choice(size, size=support, replace=False)
-                          for _ in range(2 * SAMPLED_PAIRS)], dtype=np.uint16)
-        x_sets, y_sets = drawn[0::2], drawn[1::2]
-    for sets in (x_sets, y_sets):
-        sets.setflags(write=False)
-    return x_sets, y_sets, exhaustive
+        sets = np.empty((2 * SAMPLED_PAIRS, support), dtype=np.uint16)
+        for row in sets:
+            row[:] = rng.choice(size, size=support, replace=False)
+    sets.setflags(write=False)
+    return sets, exhaustive
+
+
+def _pair_batches(sets: np.ndarray, exhaustive: bool,
+                  step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(sx, sy) of the support pairs of :func:`_support_sets`, `step` pairs at a time.
+
+    Exhaustive: pair p is (sets[p // m], sets[p % m]) for m sets, every
+    ordered pair once; each batch's pairs are gathered as it is dealt.
+    Sampled: pair p is (sets[2p], sets[2p + 1]).  Both are (pairs, 2^k).
+    """
+    if not exhaustive:
+        for start in range(0, len(sets), 2 * step):
+            yield sets[start:start + 2 * step:2], sets[start + 1:start + 2 * step:2]
+        return
+    m = len(sets)
+    for start in range(0, m * m, step):
+        pairs = np.arange(start, min(m * m, start + step))
+        yield sets[pairs // m], sets[pairs % m]
+
+
+def _literal_spectra(w: np.ndarray, q: int, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """spectra[p, a] = sum over sx[p] x sy[p] of (-1)^parity(a & w[x, y]), cell by cell.
+
+    Each pair's 4^k cells of w = brow[z] are grouped by value and the
+    histogram is Walsh transformed: literal enumeration, with no identity.
+    """
+    cells = w[sx[:, :, None], sy[:, None, :]].reshape(len(sx), -1)
+    grouped = np.bincount((cells + _offsets(len(sx), 1 << q)[:, None]).ravel(),
+                          minlength=len(sx) << q)
+    return walsh_transform(grouped.reshape(len(sx), 1 << q))
 
 
 def _y_functionals(w: np.ndarray, q: int) -> np.ndarray | None:
     """L[a, x] with parity(a & w[x, y]) = parity(y & L[a, x]) for every y.
 
-    Bit j of L[a, x] is parity(a & w[x, 2^j]).  The identity needs w[x, .]
-    to be GF(2)-linear in y, so it is checked first, over all 4^t cells
-    (:func:`_linear_in_y`).  A table that fails gets None.
+    Bit j of L[a, x] is parity(a & w[x, 2^j]), which is linear in a: row
+    2^i holds bit i of the unit columns w[x, 2^j], and rows [2^i, 2^(i+1))
+    are rows [0, 2^i) XOR row 2^i, so each cell is written once.  The
+    identity needs w[x, .] to be GF(2)-linear in y, so it is checked first,
+    over all 4^t cells (:func:`_linear_in_y`).  A table that fails gets None.
     """
     if not _linear_in_y(w):
         return None
     t = w.shape[1].bit_length() - 1
-    parity = _parity_table(q)
-    a = np.arange(1 << q, dtype=w.dtype)[:, None]
-    functionals = np.zeros((1 << q, w.shape[0]), dtype=np.int64)
-    for j in range(t):
-        functionals |= parity[a & w[:, 1 << j]].astype(np.int64) << j
+    shifts = np.arange(t, dtype=np.uint16)
+    units = w[:, 1 << shifts]
+    functionals = np.empty((1 << q, w.shape[0]), dtype=np.uint16)
+    functionals[0] = 0
+    for i in range(q):
+        row = (((units >> i) & 1) << shifts).sum(axis=1, dtype=np.uint16)
+        np.bitwise_xor(functionals[:1 << i], row, out=functionals[1 << i:2 << i])
     return functionals
 
 
@@ -515,15 +627,20 @@ def _linear_spectra(functionals: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> 
 
     By linearity in y, the sum over y in sy[p] of (-1)^parity(y & L[a, x])
     is the Walsh transform of the indicator of sy[p] at L[a, x]: 2^q * 2^k
-    lookups per pair in place of 4^k cells.  sx and sy are (pairs, 2^k).
+    lookups per pair in place of 4^k cells, taken for chunks of the x
+    support within _CELL_BUDGET lookups.  sx and sy are (pairs, 2^k).
     """
-    rows = np.arange(len(sy))[:, None]
-    indicator = np.zeros((len(sy), functionals.shape[1]), dtype=np.int64)
-    indicator[rows, sy] = 1
-    walsh = walsh_transform(indicator)
-    # One flat lookup: pair p's transform starts at p * 2^t in walsh.ravel().
-    index = functionals[:, sx] + rows * functionals.shape[1]
-    return walsh.ravel().take(index).sum(axis=-1).T
+    width = functionals.shape[1]
+    indicator = np.zeros((len(sy), width), dtype=np.int64)
+    indicator[_offsets(len(sy))[:, None], sy] = 1
+    walsh = walsh_transform(indicator).ravel()
+    # Flat lookups: pair p's transform starts at p * 2^t in walsh.
+    offsets = _offsets(len(sx), width)[:, None]
+    spectra = np.zeros((len(functionals), len(sx)), dtype=np.int64)
+    chunk = _rows_per_chunk(len(functionals) * len(sx))
+    for start in range(0, sx.shape[1], chunk):
+        spectra += walsh.take(functionals[:, sx[:, start:start + chunk]] + offsets).sum(axis=-1)
+    return spectra.T
 
 
 def _log_tables(z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -532,10 +649,10 @@ def _log_tables(z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     A generator g is read off the table: its powers, taken through row
     z[g], must hit all 2^q - 1 nonzero elements.  The table is then checked
     over every cell: row 0 and column 0 are zero, and z[x, y] =
-    exp[(log x + log y) mod (2^q - 1)], in row blocks of at most _ROW_CHUNK
-    rows.  log[0] is 2^q - 1, one past every power.  None when no g is
-    found (always at q = 1, where g = 1 is the only candidate) or a cell
-    differs.
+    exp[(log x + log y) mod (2^q - 1)], in chunks of rows within
+    _CELL_BUDGET cells, in uint16 (log x + log y < 2^13).  log[0] is
+    2^q - 1, one past every power.  None when no g is found (always at
+    q = 1, where g = 1 is the only candidate) or a cell differs.
     """
     size = z.shape[0]
     order = size - 1
@@ -553,14 +670,15 @@ def _log_tables(z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
             break
     else:
         return None
-    exp = np.array(powers, dtype=np.int64)
-    log = np.empty(size, dtype=np.int64)
+    exp = np.array(powers, dtype=np.uint16)
+    log = np.empty(size, dtype=np.uint16)
     log[exp] = np.arange(order)
     log[0] = order
     exp_twice = np.concatenate((exp, exp))   # exp_twice[i + j] = exp[(i + j) mod order]
-    for start in range(1, size, _ROW_CHUNK):
-        rows = log[start:start + _ROW_CHUNK, None]
-        if not np.array_equal(z[start:start + _ROW_CHUNK, 1:], exp_twice[rows + log[1:]]):
+    rows = _rows_per_chunk(size)
+    for start in range(1, size, rows):
+        sums = log[start:start + rows, None] + log[1:]
+        if not np.array_equal(z[start:start + rows, 1:], exp_twice[sums]):
             return None
     return exp, log
 
@@ -581,20 +699,23 @@ def _log_spectra(logs: tuple[np.ndarray, np.ndarray], brow: np.ndarray,
     exp, log = logs
     order = len(exp)
     q = order.bit_length()
-    rows = np.arange(len(sx))[:, None]
-    indicators = []
+    rows = _offsets(len(sx))[:, None]
+    # Each float array is deleted once used, so few are live at a time.
+    nonzero, transforms = [], []
     for support in (sx, sy):
         indicator = np.zeros((len(sx), order + 1))   # column `order` marks a support holding 0
         indicator[rows, log[support]] = 1.0
-        indicators.append(indicator)
-    conv = np.fft.irfft(np.fft.rfft(indicators[0][:, :order]) *
-                        np.fft.rfft(indicators[1][:, :order]), n=order)
+        nonzero.append(support.shape[1] - indicator[:, order])
+        transforms.append(np.fft.rfft(indicator[:, :order]))
+        del indicator
+    conv = np.fft.irfft(transforms[0] * transforms[1], n=order)
+    del transforms
     counts = np.rint(conv)
     if np.any(np.abs(conv - counts) >= 0.25):
         raise ArithmeticError("discrete-log convolution did not round to integers")
-    nonzero = [sx.shape[1] - indicator[:, order] for indicator in indicators]
+    del conv
     zero_cell = sx.shape[1] * sy.shape[1] - nonzero[0] * nonzero[1]
-    keys = brow[exp][None, :] + (rows << q)
+    keys = brow[exp][None, :] + _offsets(len(sx), 1 << q)[:, None]
     grouped = np.bincount(keys.ravel(), weights=counts.ravel(), minlength=len(sx) << q)
     grouped = grouped.reshape(len(sx), 1 << q)
     grouped[:, brow[0]] += zero_cell
@@ -650,8 +771,9 @@ def check_extractor_distance(
             )
     z = ip_value_table(ctx, n)
     out = np.zeros(1 << ctx.q)
-    for start in range(0, size, _ROW_CHUNK):   # row blocks bound the weight arrays
-        rows = slice(start, start + _ROW_CHUNK)
+    chunk = _rows_per_chunk(size)
+    for start in range(0, size, chunk):   # chunks of rows bound the weight arrays
+        rows = slice(start, start + chunk)
         out += np.bincount(z[rows].ravel(), weights=np.outer(px[rows], py).ravel(),
                            minlength=1 << ctx.q)
     distance = 0.5 * float(np.abs(out - 1.0 / (1 << ctx.q)).sum())

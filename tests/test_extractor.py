@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import random
 import runpy
 import tracemalloc
@@ -377,6 +378,39 @@ def test_a_sink_that_takes_no_bytes_interrupts_the_run():
     run = extract_eq(rnd.randbytes(300), rnd.randbytes(300), plan)
     with pytest.raises(OSError):
         run.run(ShortSink(lambda size: 0))
+    assert run.report.stop_reason == "interrupted" and run.report.pad_bits is None
+
+
+def test_a_raw_sink_that_would_block_interrupts_the_run():
+    # A full non-blocking pipe with nobody reading: its raw writes return
+    # None, having taken nothing, so the run must end interrupted rather
+    # than count bytes it never wrote.  A duck-typed sink's None still
+    # means it took everything.
+    rnd = random.Random(24)
+    xb, yb = rnd.randbytes(32768), rnd.randbytes(32768)
+    plan = plan_eq(16, 16384, "10.74/16", "2^-20")   # q = 32
+    whole = io.BytesIO()
+    extract_eq(xb, yb, plan).run(whole)
+
+    class NoneSink:
+        def __init__(self):
+            self.data = bytearray()
+
+        def write(self, data):
+            self.data += data
+
+    duck = NoneSink()
+    assert extract_eq(xb, yb, plan).run(duck).stop_reason == "completed"
+    assert bytes(duck.data) == whole.getvalue()
+
+    read_end, write_end = os.pipe()
+    os.set_blocking(write_end, False)
+    with open(read_end, "rb", buffering=0), open(write_end, "wb", buffering=0) as sink:
+        while sink.write(bytes(1 << 16)) is not None:   # fill the pipe
+            pass
+        run = extract_eq(xb, yb, plan)
+        with pytest.raises(BlockingIOError):
+            run.run(sink)
     assert run.report.stop_reason == "interrupted" and run.report.pad_bits is None
 
 

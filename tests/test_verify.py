@@ -8,10 +8,13 @@ XOR-linearity identities that justify the counts method's pair-to-
 difference reduction are property-tested here as well.
 """
 
+import gc
 import itertools
 import json
 import random
 import runpy
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +47,8 @@ from blockext.verify import (
     _log_tables,
     _parity_table,
     _rank_verdicts,
-    _support_pairs,
+    _pair_batches,
+    _support_sets,
     _window_table,
     _y_functionals,
 )
@@ -605,10 +609,8 @@ def test_linear_bias_spectra_match_grouped_walsh():
         functionals = _y_functionals(w, q)
         assert functionals is not None
         for k in range(t + 1):
-            x_sets, y_sets, _ = _support_pairs(1 << t, 1 << k, seed=t + k)
-            step = max(1, (1 << 16) >> max(t, 2 * k))
-            for start in range(0, len(x_sets), step):
-                sx, sy = x_sets[start:start + step], y_sets[start:start + step]
+            sets, exhaustive = _support_sets(1 << t, 1 << k, seed=t + k)
+            for sx, sy in _pair_batches(sets, exhaustive, max(1, (1 << 16) >> max(t, 2 * k))):
                 cells = w[sx[:, :, None], sy[:, None, :]].reshape(len(sx), -1).astype(np.int64)
                 cells += np.arange(len(sx), dtype=np.int64)[:, None] << q
                 grouped = np.bincount(cells.ravel(), minlength=len(sx) << q)
@@ -682,10 +684,8 @@ def test_log_bias_spectra_match_grouped_walsh():
         w = brow[z]
         for k in sorted({q, q - 1, max(1, (3 * q) // 4), max(1, q // 2)}):
             for seed in (0, 1000 + q):
-                x_sets, y_sets, _ = _support_pairs(1 << q, 1 << k, seed)
-                step = max(1, (1 << 16) >> max(q, 2 * k))
-                for start in range(0, len(x_sets), step):
-                    sx, sy = x_sets[start:start + step], y_sets[start:start + step]
+                sets, exhaustive = _support_sets(1 << q, 1 << k, seed)
+                for sx, sy in _pair_batches(sets, exhaustive, max(1, (1 << 16) >> max(q, 2 * k))):
                     cells = w[sx[:, :, None], sy[:, None, :]].reshape(len(sx), -1)
                     cells = cells.astype(np.int64) + (np.arange(len(sx))[:, None] << q)
                     grouped = np.bincount(cells.ravel(), minlength=len(sx) << q)
@@ -838,6 +838,47 @@ def test_first_bit_bijection_small_fields():
         assert check_first_bit_bijection(field(q))
     with pytest.raises(InfeasibleError):
         check_first_bit_bijection(field(9))
+
+
+# ---------- working set ----------
+
+
+def _traced_peak(call) -> int:
+    """Bytes a call's traced allocations peak at above what was live before it."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_working_set_is_the_dense_tables_plus_the_cell_budget():
+    # Above the tables an instance needs (one 2^t x 2^t uint16 table for a
+    # bias instance; the current width's window and shift tables for
+    # Hadamard), every temporary is within _CELL_BUDGET cells: eight of
+    # 8-byte cells bound what is live at once.  A bias call at t = 10 on the
+    # discrete-log path (q = 10, n = 1) and on the linear path (q = 2, n = 5),
+    # with its support draws already cached, and check_hadamard at q = 13
+    # right after q = 12.
+    temporaries = 8 * 8 * verify_mod._CELL_BUDGET
+    for q, n in ((10, 1), (2, 5)):
+        call = lambda: list(bias_reports(field(q), n, (7, 9, 10)))
+        call()
+        assert _traced_peak(call) <= 2 * 4**10 + temporaries, (q, n)
+    check_hadamard(field(12), 1)
+    q13_tables = 2 * 2**13 * (2**8 + 2**5 + 13)
+    assert _traced_peak(lambda: check_hadamard(field(13), 1)) <= q13_tables + temporaries
+    # The caches hold the current width only: q = 13's tables are freed
+    # once q = 12 is asked for, and q = 12's are kept.
+    tables = [weakref.ref(_window_table(field(13), 0, 8)),
+              weakref.ref(_window_table(field(13), 8, 5)),
+              weakref.ref(shift_tables(field(13))[0])]
+    assert _window_table(field(12), 0, 8) is _window_table(field(12), 0, 8)
+    assert shift_tables(field(12)) is shift_tables(field(12))
+    gc.collect()
+    assert [ref() for ref in tables] == [None] * 3
 
 
 def test_hadamard_instances_enumeration():
