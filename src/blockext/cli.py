@@ -4,6 +4,12 @@ Subcommands: params, extract-eq, extract-neq, simulate, verify, bench.
 Exit codes: 0 success; 2 usage; 3 capacity (field width over the cap);
 4 unsupported rate (min-entropy rate <= 1/2); 5 I/O; 6 verification
 failure.  All configuration is explicit flags; no environment variables.
+
+The extractor is sound only for two independent sources, so the extract
+commands and simulate refuse, before opening anything, two flags that
+name one file: one guard, _refuse_same_files, where '-' as --x or --y is
+standard input and matches /dev/stdin, /dev/fd/0 or the file it is
+redirected from.  Each command imports the modules only it runs.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import argparse
 import contextlib
 import dataclasses
 import gc
-import importlib
 import itertools
 import os
 import stat
@@ -38,17 +43,6 @@ from .params import (
     plan_neq,
 )
 from .report import format_document, plan_to_text
-
-# Modules that only some commands run: each command imports its own, and
-# `cli.verify_mod` and the like resolve on access from outside (PEP 562).
-_COMMAND_MODULES = {"bench_mod": "bench", "sources_mod": "sources", "verify_mod": "verify"}
-
-
-def __getattr__(name):
-    if name not in _COMMAND_MODULES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return importlib.import_module(f".{_COMMAND_MODULES[name]}", __package__)
-
 
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
@@ -129,45 +123,36 @@ def cmd_params(args) -> int:
 def _refuse_same_files(*named: tuple[str, str | None]) -> None:
     """Refuse two (flag, path) pairs that name one file, skipping None.
 
-    Every path is a literal file name: a caller that reads '-' as standard
-    input leaves that flag out.  By os.path.samefile (hard links) if both
-    exist, else by resolved path.
+    '-' as --x or --y is standard input, known by os.fstat of its
+    descriptor (skipped when it has none), so /dev/stdin, /dev/fd/0 and a
+    redirected file match it.  Any other existing path is known by os.stat
+    (hard links match), a path not yet created by its resolved path.  The
+    one pair let through is standard input and an --out or --report that is
+    not a regular file: a terminal or /dev/null on both sides destroys
+    nothing.
     """
-    named = [(flag, path) for flag, path in named if path]
-    for (flag_a, a), (flag_b, b) in itertools.combinations(named, 2):
-        if (os.path.samefile(a, b) if os.path.exists(a) and os.path.exists(b)
-                else os.path.realpath(a) == os.path.realpath(b)):
+    files = []
+    for flag, path in named:
+        if path == "-" and flag in ("--x", "--y"):
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                st = os.fstat(sys.stdin.fileno())
+                files.append((flag, "- (standard input)", (st.st_dev, st.st_ino), "stdin"))
+        elif path and os.path.exists(path):
+            st = os.stat(path)
+            harmless = flag in ("--out", "--report") and not stat.S_ISREG(st.st_mode)
+            files.append((flag, path, (st.st_dev, st.st_ino), "harmless" if harmless else None))
+        elif path:
+            files.append((flag, path, os.path.realpath(path), None))
+    for (flag_a, a, id_a, kind_a), (flag_b, b, id_b, kind_b) in itertools.combinations(files, 2):
+        if id_a == id_b and {kind_a, kind_b} != {"stdin", "harmless"}:
             raise ValueError(f"{flag_a} {a} and {flag_b} {b} are the same file")
 
 
-def _refuse_standard_input_as(stdin_flag: str, flag: str, path: str | None, *,
-                              regular_only: bool = False) -> None:
-    """Refuse `path` when it names the file that standard input reads.
-
-    By os.path.samestat of standard input's descriptor and `path`, so
-    /dev/stdin, /dev/fd/0 and a redirected file all match; with
-    `regular_only`, only a regular file is refused (an output that is a
-    terminal or /dev/null on both sides destroys nothing).  Skipped when
-    `path` is None or does not exist, or standard input has no usable
-    descriptor.
-    """
-    if not path or not os.path.exists(path):
-        return
-    try:
-        stdin = os.fstat(sys.stdin.fileno())
-    except (AttributeError, OSError, ValueError):
-        return
-    target = os.stat(path)
-    if os.path.samestat(stdin, target) and (not regular_only or stat.S_ISREG(target.st_mode)):
-        raise ValueError(f"{stdin_flag} - (standard input) and {flag} {path} are the same file")
-
-
-def _extract(args, extract, plan, **options) -> int:
+def _extract(args, extract, plan) -> int:
     """Run `extract` over the --x/--y sources into --out and emit its report.
 
-    At most one source may be standard input, neither the other source nor
-    a regular --out or --report file may be the file it reads, and no two
-    of --x, --y, --out and --report may name one file, checked before
+    At most one source may be standard input, and no two of --x, --y, --out
+    and --report may be one file (see _refuse_same_files), checked before
     anything is opened (opening --out truncates it); a run that fails after
     it started still emits its report (stop_reason = interrupted) before
     the error propagates.
@@ -175,13 +160,8 @@ def _extract(args, extract, plan, **options) -> int:
     if args.x == args.y == "-":
         raise ValueError("the two sources must be physically independent streams; "
                          "at most one may be standard input")
-    sources = [(flag, path) for flag, path in (("--x", args.x), ("--y", args.y)) if path != "-"]
-    if len(sources) == 1:
-        stdin_flag = "--x" if args.x == "-" else "--y"
-        _refuse_standard_input_as(stdin_flag, *sources[0])
-        for flag, path in (("--out", args.out), ("--report", args.report)):
-            _refuse_standard_input_as(stdin_flag, flag, path, regular_only=True)
-    _refuse_same_files(*sources, ("--out", args.out), ("--report", args.report))
+    _refuse_same_files(("--x", args.x), ("--y", args.y), ("--out", args.out),
+                       ("--report", args.report))
     # Unbuffered: each read returns what the OS has to Python, which sees a
     # SIGINT before the next read blocks, and each batch's bytes reach --out
     # as soon as the batch is made.
@@ -189,7 +169,7 @@ def _extract(args, extract, plan, **options) -> int:
         fx, fy = (getattr(sys.stdin.buffer, "raw", sys.stdin.buffer) if path == "-"
                   else stack.enter_context(open(path, "rb", buffering=0))
                   for path in (args.x, args.y))
-        run = extract(fx, fy, plan, workers=args.workers, **options)
+        run = extract(fx, fy, plan, workers=args.workers, max_blocks=args.max_blocks)
         try:
             with open(args.out, "wb", buffering=0) as out:
                 run.run(out)
@@ -202,17 +182,22 @@ def _extract(args, extract, plan, **options) -> int:
 def cmd_extract_eq(args) -> int:
     default_bits = None
     if args.N is None and args.n_bits is None:
-        if "-" in (args.x, args.y):
-            raise ValueError("--N or --N-bits is required when reading standard input")
-        default_bits = 8 * min(os.path.getsize(args.x), os.path.getsize(args.y))
-    return _extract(args, extract_eq, _eq_plan_from_args(args, default_bits),
-                    max_blocks=args.max_blocks)
+        # N from the file sizes: a stream has none, and a directory fails as it opens.
+        sizes = []
+        for flag, path in (("--x", args.x), ("--y", args.y)):
+            st = None if path == "-" else os.stat(path)
+            if st is None or not (stat.S_ISREG(st.st_mode) or stat.S_ISDIR(st.st_mode)):
+                what = "standard input" if st is None else "not a regular file"
+                raise ValueError(f"--N or --N-bits is required: {flag} {path} is {what}")
+            sizes.append(st.st_size)
+        default_bits = 8 * min(sizes)
+    return _extract(args, extract_eq, _eq_plan_from_args(args, default_bits))
 
 
 def cmd_extract_neq(args) -> int:
     plan = plan_neq(int(args.b), as_rational(args.delta, "delta"),
                     first_field_bits=int(args.q1), growth=int(args.growth))
-    return _extract(args, extract_neq, plan, max_blocks=args.max_blocks)
+    return _extract(args, extract_neq, plan)
 
 
 def cmd_simulate(args) -> int:

@@ -23,6 +23,11 @@ LOG2_SQRT3 = 0.5 * math.log2(3.0)
 
 MAX_SAMPLE_BITS = 64
 
+# Widest numerator or denominator, in bits, that a number string may give:
+# every real plan is far inside it, and it refuses '2^-100000000' or
+# '1e10000000' before their power is computed (seconds, or gigabytes).
+_MAX_VALUE_BITS = 1 << 16
+
 
 def _log2_int(n: int) -> float:
     """log2 of a positive integer, safe for values beyond float range."""
@@ -43,7 +48,9 @@ def as_rational(value, name: str = "value") -> Fraction:
     """Coerce an exact rational input; floats are rejected.
 
     Accepts Fraction, int, or a string like "10.74/16", "537/800", "0.67125",
-    or "2^-30".
+    "1e400" or "2^-30"; a string whose numerator or denominator is wider
+    than 2^16 bits is refused, judged from its exponent before any power is
+    computed.
     """
     if isinstance(value, bool):
         raise TypeError(f"{name} must be rational, got bool")
@@ -56,19 +63,33 @@ def as_rational(value, name: str = "value") -> Fraction:
         try:
             if "/" in text:
                 num, den = text.split("/", 1)
-                return as_rational(num.strip(), name) / as_rational(den.strip(), name)
-            if "^" in text:
-                base, exp = text.split("^", 1)
-                return Fraction(int(base)) ** int(exp)
-            return Fraction(text)
+                result = as_rational(num.strip(), name) / as_rational(den.strip(), name)
+            elif "^" in text:
+                base, exp = (int(part) for part in text.split("^", 1))
+                # base^exp is at least (bits(base) - 1) * |exp| bits wide.
+                _refuse_wide((abs(base).bit_length() - 1) * abs(exp), name, value)
+                result = Fraction(base) ** exp
+            else:
+                _, e, exp = text.lower().partition("e")
+                if e:  # 10^|exp| is more than 3 * |exp| bits wide
+                    _refuse_wide(3 * abs(int(exp)), name, value)
+                result = Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"{name}: division by zero in {value!r}") from None
+        _refuse_wide(max(result.numerator.bit_length(), result.denominator.bit_length()),
+                     name, value)
+        return result
     if isinstance(value, float):
         raise TypeError(
             f"{name} must be an exact rational (Fraction, int, or string); "
             f"floats near a ceiling boundary can change derived parameters"
         )
     raise TypeError(f"cannot interpret {name}={value!r} as a rational")
+
+
+def _refuse_wide(bits: int, name: str, value) -> None:
+    if bits > _MAX_VALUE_BITS:
+        raise ValueError(f"{name}: {value!r} is wider than 2^16 bits")
 
 
 def parse_count(text: str) -> int:
@@ -326,8 +347,7 @@ def error_bound_neq(plan: NeqPlan, k: int | None = None) -> float:
     if k < 1:
         raise ValueError("block count must be >= 1")
     if plan.growth == 0:
-        first = error_bound_block(plan.vec_len, plan.first_field_bits, plan.entropy_rate)
-        return first + math.log2(k)
+        return _sum_log2_error(k, plan.vec_len, plan.first_field_bits, plan.entropy_rate)
     # One rate coefficient, then the same float expression for every block.
     coeff = _rate_coefficient(plan.vec_len, plan.first_field_bits, plan.entropy_rate)
     terms = [_block_log2(coeff, plan.vec_len, plan.field_bits_for_block(i))

@@ -16,6 +16,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import blockext.bench
+import blockext.verify
 from blockext import cli
 from blockext.cli import main
 from blockext.errors import (
@@ -63,6 +65,16 @@ def test_params_n_bits_flag(capsys):
 def test_params_n_bits_divisibility(capsys):
     assert run_cli("params", "--b", "16", "--delta", "10.74/16",
                    "--N-bits", "1001", "--epsilon", "2^-30") == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--epsilon", "2^-100000000"), ("--N", "1e10000000")])
+def test_params_refuses_a_number_wider_than_2_16_bits(capsys, flag, value):
+    # A usage error, decided before the power is computed; --epsilon once
+    # reached the width search and exited 3, and --N took seconds.
+    values = {"--N": "2^40", "--epsilon": "2^-30", flag: value}
+    assert run_cli("params", "--b", "16", "--delta", "3/4",
+                   *(arg for item in values.items() for arg in item)) == 2
+    assert "wider than 2^16 bits" in capsys.readouterr().err
 
 
 def test_params_exit_codes(capsys):
@@ -281,6 +293,29 @@ def test_extract_eq_stdin_refusals(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["x", "y"])
+@pytest.mark.parametrize("kind", ["dev-zero", "fifo"])
+def test_extract_eq_infers_n_only_from_regular_files(tmp_path, capsys, kind, source):
+    # A device or a FIFO has no size to infer N from, and nothing is opened
+    # (opening a FIFO with no writer would block).
+    if kind == "dev-zero":
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("needs /dev/zero")
+        special = "/dev/zero"
+    else:
+        special = str(tmp_path / "fifo")
+        os.mkfifo(special)
+    files = {"x": str(tmp_path / "x.bin"), "y": str(tmp_path / "y.bin")}
+    for path in files.values():
+        Path(path).write_bytes(bytes(4096))
+    files[source] = special
+    out = tmp_path / "z.bin"
+    assert run_cli(*EQ_FLAGS, "--x", files["x"], "--y", files["y"], "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--N or --N-bits is required" in err and f"--{source} {special}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [EQ_FLAGS, NEQ_FLAGS], ids=["eq", "neq"])
 def test_extract_refuses_self_pairing(tmp_path, capsys, flags):
     x = tmp_path / "x.bin"
@@ -294,17 +329,24 @@ def test_extract_refuses_self_pairing(tmp_path, capsys, flags):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["dev-stdin", "redirected-file", "dev-fd-0-pipe"])
-def test_extract_refuses_standard_input_paired_with_itself(tmp_path, case):
-    # --x - with a --y that names the file standard input reads: one stream
-    # would be paired with itself.
+def _stdin_as_x_and_y(*cases):
+    """Each case with standard input as --x (id: the case) and as --y (id: case-as-y)."""
+    return [*(pytest.param(case, "--x", "--y", id=case) for case in cases),
+            *(pytest.param(case, "--y", "--x", id=f"{case}-as-y") for case in cases)]
+
+
+@pytest.mark.parametrize("case, stdin_flag, other",
+                         _stdin_as_x_and_y("dev-stdin", "redirected-file", "dev-fd-0-pipe"))
+def test_extract_refuses_standard_input_paired_with_itself(tmp_path, case, stdin_flag, other):
+    # One source is -, and the other names the file standard input reads:
+    # one stream would be paired with itself.
     f = tmp_path / "f.bin"
     f.write_bytes(bytes(range(256)) * 8)
     out = tmp_path / "z.bin"
     y = {"dev-stdin": "/dev/stdin", "redirected-file": str(f), "dev-fd-0-pipe": "/dev/fd/0"}[case]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    argv = [sys.executable, "-m", "blockext.cli", *EQ_FLAGS, "--N", "2048", "--x", "-",
-            "--y", y, "--out", str(out)]
+    argv = [sys.executable, "-m", "blockext.cli", *EQ_FLAGS, "--N", "2048", stdin_flag, "-",
+            other, y, "--out", str(out)]
     if case == "dev-fd-0-pipe":
         done = subprocess.run(argv, input=f.read_bytes(), capture_output=True, env=env,
                               timeout=60)
@@ -313,12 +355,13 @@ def test_extract_refuses_standard_input_paired_with_itself(tmp_path, case):
             done = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=60)
     err = done.stderr.decode()
     assert done.returncode == 2, err
-    assert "same file" in err and "--x -" in err and f"--y {y}" in err
+    assert "same file" in err and f"{stdin_flag} -" in err and f"{other} {y}" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--out", "--report"])
-def test_extract_refuses_to_write_over_the_file_standard_input_reads(tmp_path, flag):
+@pytest.mark.parametrize("flag, stdin_flag, other", _stdin_as_x_and_y("--out", "--report"))
+def test_extract_refuses_to_write_over_the_file_standard_input_reads(tmp_path, flag, stdin_flag,
+                                                                     other):
     # extract-eq --x - ... --out f.bin < f.bin would truncate its own input.
     f = tmp_path / "f.bin"
     data = bytes(range(256)) * 16
@@ -328,24 +371,26 @@ def test_extract_refuses_to_write_over_the_file_standard_input_reads(tmp_path, f
     outputs = {"--out": str(tmp_path / "z.bin"), "--report": str(tmp_path / "r.txt"),
                flag: str(f)}
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    argv = [sys.executable, "-m", "blockext.cli", *EQ_FLAGS, "--N", "4096", "--x", "-",
-            "--y", str(y), *(arg for item in outputs.items() for arg in item)]
+    argv = [sys.executable, "-m", "blockext.cli", *EQ_FLAGS, "--N", "4096", stdin_flag, "-",
+            other, str(y), *(arg for item in outputs.items() for arg in item)]
     with open(f, "rb") as stdin:
         done = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=60)
     err = done.stderr.decode()
     assert done.returncode == 2, err
-    assert "same file" in err and "--x -" in err and f"{flag} {f}" in err
+    assert "same file" in err and f"{stdin_flag} -" in err and f"{flag} {f}" in err
     assert f.read_bytes() == data
     assert not any(Path(path).exists() for name, path in outputs.items() if name != flag)
 
 
-def test_extract_accepts_dev_null_as_standard_input_and_output(tmp_path):
+@pytest.mark.parametrize("stdin_flag, other", [("--x", "--y"), ("--y", "--x")],
+                         ids=["x", "y"])
+def test_extract_accepts_dev_null_as_standard_input_and_output(tmp_path, stdin_flag, other):
     # Not a regular file: standard input and --out on /dev/null destroy nothing.
     y = tmp_path / "y.bin"
     y.write_bytes(bytes(4096))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    argv = [sys.executable, "-m", "blockext.cli", *EQ_FLAGS, "--N", "4096", "--x", "-",
-            "--y", str(y), "--out", os.devnull]
+    argv = [sys.executable, "-m", "blockext.cli", *EQ_FLAGS, "--N", "4096", stdin_flag, "-",
+            other, str(y), "--out", os.devnull]
     with open(os.devnull, "rb") as stdin:
         done = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
@@ -781,19 +826,19 @@ def test_verify_oracle_lines_match_the_recorded_benchmark_results(capsys):
 
 
 def test_verify_clamps_every_suite_to_its_cap(monkeypatch, capsys):
-    monkeypatch.setattr(cli.verify_mod, "MAX_HADAMARD_BITS", 4)
+    monkeypatch.setattr(blockext.verify, "MAX_HADAMARD_BITS", 4)
     assert run_cli("verify", "--suite", "hadamard", "--max-bits", "4") == 0
     capped = capsys.readouterr().out
     assert run_cli("verify", "--suite", "hadamard", "--max-bits", "5") == 0
     assert capsys.readouterr().out == capped
-    monkeypatch.setattr(cli.verify_mod, "MAX_DENSE_BITS", 4)
+    monkeypatch.setattr(blockext.verify, "MAX_DENSE_BITS", 4)
     assert run_cli("verify", "--suite", "all", "--max-bits", "5") == 0
     assert capsys.readouterr().out == VERIFY_ALL_4
 
 
 def test_verify_failure_is_reported_and_exits_6(monkeypatch, tmp_path, capsys):
-    real = cli.verify_mod.check_first_bit_bijection
-    monkeypatch.setattr(cli.verify_mod, "check_first_bit_bijection",
+    real = blockext.verify.check_first_bit_bijection
+    monkeypatch.setattr(blockext.verify, "check_first_bit_bijection",
                         lambda ctx: ctx.q != 3 and real(ctx))
     report = tmp_path / "verify.txt"
     assert run_cli("verify", "--suite", "bijection", "--report", str(report)) == 6
@@ -866,7 +911,7 @@ def test_bench_throughput(capsys):
 
 @pytest.mark.parametrize("duration", ["inf", "nan"])
 def test_bench_throughput_refuses_a_non_finite_duration(monkeypatch, capsys, duration):
-    monkeypatch.setattr(cli.bench_mod, "extract_neq",
+    monkeypatch.setattr(blockext.bench, "extract_neq",
                         lambda *a, **k: pytest.fail("a measurement pass started"))
     assert run_cli("bench", "throughput", "--b", "8", "--delta", "3/4",
                    "--epsilon", "2^-8", "--N", "4096", "--duration", duration) == 2

@@ -149,8 +149,12 @@ def _error_bound_neq_loop(plan, k):
 @pytest.mark.parametrize("growth", [0, 1, 3])
 def test_error_bound_neq_matches_the_term_loop(growth):
     plan = plan_neq(16, Fraction(3, 4), 16, growth)
+    eq = plan_eq(16, 3072, Fraction(3, 4), "2^-8")  # the blocks of growth 0: q=16, n=48
+    assert (eq.field_bits, eq.vec_len) == (16, plan.vec_len)
     for k in (1, 2, 3, 7, 64, 97, 1000, 4321):
         assert error_bound_neq(plan, k) == _error_bound_neq_loop(plan, k), k
+        if growth == 0:
+            assert error_bound_neq(plan, k) == error_bound_eq(eq, k), k
 
 
 def test_error_bound_neq_divergence():
@@ -221,6 +225,21 @@ def test_parse_helpers():
             parse_count(bad)
     with pytest.raises(ValueError):
         plan_eq(16, 2**30, "3/4", 1)
+
+
+@pytest.mark.parametrize("text", ["2^-100000000", "1e1000000", "2^65536", "2^-65536",
+                                  "1e-20000", "3^41400", "2^65535/2^-1"])
+def test_as_rational_refuses_a_value_wider_than_2_16_bits(text):
+    # The exponent is judged before the power is computed: '2^-100000000'
+    # and '1e1000000' once took 0.6 s and 0.2 s to build.
+    with pytest.raises(ValueError, match="wider than 2\\^16 bits"):
+        as_rational(text)
+
+
+def test_as_rational_accepts_values_up_to_2_16_bits():
+    assert as_rational("2^65535") == 2**65535
+    assert as_rational("1e19000") == 10**19000
+    assert as_rational("1^100000000000") == 1
 
 
 def test_plan_serialization_round_trip():
