@@ -326,7 +326,8 @@ def _closed_form_limit(q1: int, width_step_bits: int) -> float:
     """log2 of sqrt(3) * 2^(-1/4 - q1) / (1 - 2^-step): the geometric tail limit."""
     if width_step_bits < 1:
         raise DivergenceError("error series converges only for growth >= 1")
-    return LOG2_SQRT3 - 0.25 - q1 - math.log2(1.0 - 2.0 ** (-width_step_bits))
+    # Any step above 1074 already gives 0.0; the cap keeps a huge step a float.
+    return LOG2_SQRT3 - 0.25 - q1 - math.log2(1.0 - 2.0 ** -min(width_step_bits, 1100))
 
 
 def error_bound_neq(plan: NeqPlan, k: int | None = None) -> float:

@@ -21,7 +21,9 @@ alone; their rate is a physical assumption the caller must supply.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +37,9 @@ PROB_SUM_TOL = 2.0 ** -30
 MAX_UNIFORM_BITS = 24
 
 _ANALYTIC_KINDS = ("iid-biased", "iid-table", "markov")
+
+# Samples drawn and packed at a time by `generate`.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -127,42 +132,31 @@ def joint_table(probs, bits_per_sample: int) -> SourceModel:
 
 
 def _pack_samples(values: np.ndarray, bits_per_sample: int) -> bytes:
-    b = bits_per_sample
-    values = values.astype(np.uint64, copy=False)
-    shifts = np.arange(b, dtype=np.uint64)
-    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+    """Values below 2^b as b bits each, least significant first, packed little-endian.
+
+    One-bit values are their own bits; unpacking them would cost a row each.
+    """
+    if bits_per_sample > 1:
+        octets = np.asarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        values = np.unpackbits(octets, axis=1, count=bits_per_sample, bitorder="little")
+    return np.packbits(values, bitorder="little").tobytes()
 
 
 def generate(model: SourceModel, count: int) -> bytes:
     """Deterministic sample stream: count samples packed little-endian.
 
     The result holds count * b bits; trailing pad bits of the final byte
-    are zero.
+    are zero.  Each simulated sample is one uniform draw u in [0, 1) from
+    the model's seeded generator: 1 if u < p for `iid-biased`, else the
+    first outcome whose CDF value exceeds u (for `markov`, in the current
+    state's CDF row; the first state is drawn after every u).  These are
+    the draws `Generator.choice` makes.  They do not depend on how the
+    draws are split, so the i.i.d. kinds draw and pack _CHUNK samples at a
+    time and their memory is about the output's.
     """
     if count < 1:
         raise ValueError("sample count must be >= 1")
     b = model.bits_per_sample
-    if model.kind == "iid-biased":
-        rng = np.random.default_rng(model.seed)
-        bits = (rng.random(count) < model.p).astype(np.uint8)
-        return np.packbits(bits, bitorder="little").tobytes()
-    if model.kind == "iid-table":
-        rng = np.random.default_rng(model.seed)
-        values = rng.choice(len(model.table), size=count, p=model.table)
-        return _pack_samples(values.astype(np.uint64), b)
-    if model.kind == "markov":
-        rng = np.random.default_rng(model.seed)
-        cum = np.cumsum(model.table, axis=1)
-        cum[:, -1] = 1.0  # guard against float sum drift
-        u = rng.random(count)
-        values = np.empty(count, dtype=np.uint64)
-        state = rng.integers(0, 1 << b)
-        for i in range(count):
-            state = int(np.searchsorted(cum[state], u[i], side="right"))
-            state = min(state, (1 << b) - 1)
-            values[i] = state
-        return _pack_samples(values, b)
     if model.kind == "file":
         need_bits = count * b
         need_bytes = (need_bits + 7) // 8
@@ -177,7 +171,28 @@ def generate(model: SourceModel, count: int) -> bytes:
         if need_bits % 8:
             buf[-1] &= (1 << (need_bits % 8)) - 1
         return bytes(buf)
-    raise ValueError(f"cannot generate from a {model.kind!r} model")
+    if model.kind not in _ANALYTIC_KINDS:
+        raise ValueError(f"cannot generate from a {model.kind!r} model")
+    rng = np.random.default_rng(model.seed)
+    if model.kind == "markov":
+        cum = np.cumsum(model.table, axis=1)
+        cum[:, -1] = 1.0  # guard against float sum drift
+        rows = cum.tolist()
+        u = rng.random(count)
+        walk = accumulate(map(float, u), lambda state, x: bisect_right(rows[state], x),
+                          initial=int(rng.integers(0, 1 << b)))
+        return _pack_samples(np.fromiter(walk, "<u8", count + 1)[1:], b)
+    if model.kind == "iid-biased":
+        def draw(u):
+            return u < model.p
+    else:
+        cdf = np.cumsum(model.table)
+        cdf /= cdf[-1]  # a scalar divisor, so no full-size temporary
+
+        def draw(u):
+            return cdf.searchsorted(u, side="right")
+    chunks = (rng.random(min(_CHUNK, count - i)) for i in range(0, count, _CHUNK))
+    return b"".join(_pack_samples(draw(u), b) for u in chunks)
 
 
 def certify_forward_block(model: SourceModel) -> MinEntropyCertificate:

@@ -560,6 +560,18 @@ def test_extract_rejects_zero_workers(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_extract_neq_with_a_huge_growth_stops_at_the_width_cap(tmp_path, capsys):
+    x, y = tmp_path / "x.bin", tmp_path / "y.bin"
+    x.write_bytes(bytes(range(100)))
+    y.write_bytes(bytes(range(100, 200)))
+    assert run_cli("extract-neq", "--b", "8", "--delta", "3/4", "--q1", "8",
+                   "--growth", "1" + "0" * 400, "--x", str(x), "--y", str(y),
+                   "--out", str(tmp_path / "z.bin")) == 0
+    _, fields = parse_document(capsys.readouterr().out)
+    assert fields["stop_reason"] == "width-cap"
+    assert fields["blocks_completed"] == "1"
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_extract_neq_rejects_nonpositive_max_blocks(tmp_path, capsys, value):
     x, y = tmp_path / "x.bin", tmp_path / "y.bin"

@@ -165,6 +165,12 @@ def test_error_bound_neq_divergence():
     assert error_bound_neq(plan, 5) > error_bound_neq(plan, 1)
 
 
+def test_plan_neq_takes_a_growth_too_large_for_a_float():
+    # Every width step above 1074 bits gives the same float limit.
+    huge = plan_neq(8, "3/4", 8, 10**400)
+    assert huge.log2_error_limit == plan_neq(8, "3/4", 8, 2000).log2_error_limit
+
+
 def test_plan_neq_auto_width():
     plan = plan_neq(16, FLAGSHIP_RATE, epsilon="2^-40")
     assert plan.first_field_bits % 16 == 0
