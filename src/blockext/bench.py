@@ -117,6 +117,31 @@ class _Endless:
         return self.data
 
 
+class _WindowEnd(Exception):
+    """Raised by a `_WindowSink` to end its run."""
+
+
+class _WindowSink:
+    """Counts the bytes written after `warm_end`, and ends the run `span` seconds later."""
+
+    def __init__(self, warm_end: float, span: float):
+        self.warm_end, self.span = warm_end, span
+        self.start = self.elapsed = None
+        self.bytes = 0
+
+    def write(self, data: bytes) -> int:
+        now = time.perf_counter()
+        if self.start is None:
+            if now >= self.warm_end:
+                self.start = now
+        else:
+            self.bytes += len(data)
+            if now >= self.start + self.span:
+                self.elapsed = now - self.start
+                raise _WindowEnd
+        return len(data)
+
+
 def measure_throughput(
     plan: EqPlan,
     duration_s: float = 2.0,
@@ -128,9 +153,11 @@ def measure_throughput(
 
     Runs one extraction over endless in-memory input (both sources return
     the same 64 pre-generated blocks on every read) for about `duration_s`
-    seconds and reports the rate at which it produces chunks (nothing is
-    packed or written) after a 10% warm-up, with a warning when the
-    measured window lasts under MIN_STEADY_S seconds.  The matching
+    seconds, through `Extraction.run` as the extract commands do, and
+    reports the rate at which it writes packed output into a counting sink
+    after a 10% warm-up, with a warning when the measured window lasts
+    under MIN_STEADY_S seconds.  The window spans whole writes, one per
+    batch; its blocks are its bits floor-divided by q.  The matching
     gate-model cost is included so measured software rates can sit next to
     the hardware projection they approximate.
     """
@@ -141,19 +168,11 @@ def measure_throughput(
     x, y = (_Endless(rng.bytes(plan.block_bits * 8)) for _ in range(2))   # 64 blocks each
     # Growth 0 gives the bytes of extract_eq, with no planned end.
     endless = plan_neq(plan.bits_per_sample, plan.entropy_rate, plan.field_bits, growth=0)
-    chunks = iter(extract_neq(x, y, endless))
-    warm_end = time.perf_counter() + 0.1 * duration_s
-    start = None
-    with contextlib.closing(chunks):
-        for chunk in chunks:
-            now = time.perf_counter()
-            if start is None:
-                if now >= warm_end:
-                    start, first = now, chunk.index
-            elif now >= start + 0.9 * duration_s:
-                break
-    elapsed = now - start
-    blocks = chunk.index - first
+    sink = _WindowSink(time.perf_counter() + 0.1 * duration_s, 0.9 * duration_s)
+    with contextlib.suppress(_WindowEnd):
+        extract_neq(x, y, endless).run(sink)
+    elapsed = sink.elapsed
+    blocks = sink.bytes * 8 // plan.field_bits
     out_bits = blocks * plan.field_bits
 
     warnings = []

@@ -212,15 +212,15 @@ def cmd_simulate(args) -> int:
     _refuse_same_files(("--config", args.config), ("--config path", model.path),
                        ("--out", args.out), ("--report", args.report))
     count = parse_count(args.count)
-    data = sources_mod.generate(model, count)
+    chunks = sources_mod.sample_chunks(model, count)  # refuses before --out is opened
     with open(args.out, "wb") as fh:
-        fh.write(data)
+        fh.writelines(chunks)
     fields = {
         "model_kind": model.kind,
         "bits_per_sample": model.bits_per_sample,
         "seed": model.seed,
         "samples": count,
-        "bytes_written": len(data),
+        "bytes_written": (count * model.bits_per_sample + 7) // 8,
         "warning": "simulated stream, for testing only; not cryptographic randomness",
     }
     try:

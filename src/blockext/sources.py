@@ -20,11 +20,12 @@ alone; their rate is a physical assumption the caller must supply.
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ MAX_UNIFORM_BITS = 24
 
 _ANALYTIC_KINDS = ("iid-biased", "iid-table", "markov")
 
-# Samples drawn and packed at a time by `generate`.
+# Samples drawn and packed at a time by `sample_chunks`.
 _CHUNK = 1 << 16
 
 
@@ -142,35 +143,40 @@ def _pack_samples(values: np.ndarray, bits_per_sample: int) -> bytes:
     return np.packbits(values, bitorder="little").tobytes()
 
 
-def generate(model: SourceModel, count: int) -> bytes:
-    """Deterministic sample stream: count samples packed little-endian.
+def sample_chunks(model: SourceModel, count: int) -> Iterator[bytes]:
+    """Deterministic sample stream of count samples, as packed byte chunks.
 
-    The result holds count * b bits; trailing pad bits of the final byte
-    are zero.  Each simulated sample is one uniform draw u in [0, 1) from
-    the model's seeded generator: 1 if u < p for `iid-biased`, else the
-    first outcome whose CDF value exceeds u (for `markov`, in the current
-    state's CDF row; the first state is drawn after every u).  These are
-    the draws `Generator.choice` makes.  They do not depend on how the
-    draws are split, so the i.i.d. kinds draw and pack _CHUNK samples at a
-    time and their memory is about the output's.
+    Joined, the chunks hold count * b bits packed little-endian; trailing
+    pad bits of the final byte are zero.  Each simulated sample is one
+    uniform draw u in [0, 1) from the model's seeded generator: 1 if u < p
+    for `iid-biased`, else the first outcome whose CDF value exceeds u (for
+    `markov`, in the current state's CDF row).  These are the draws
+    `Generator.choice` makes.  They do not depend on how the draws are
+    split, so every analytic kind draws and packs _CHUNK samples at a time
+    (whole bytes but for the last chunk), and memory is one chunk plus the
+    model's table.  A `markov` walk's first state is the one drawn after
+    every u, taken from a copy of the generator advanced past them (each
+    `random()` double is one 64-bit step).  A `file` model is one chunk:
+    the file's first ceil(count * b / 8) bytes.
+
+    Every check is made before this returns, so a caller can refuse a bad
+    request before it opens its output: count < 1 and a model that cannot
+    be sampled raise ValueError, a file too short TruncatedSourceError.
     """
     if count < 1:
         raise ValueError("sample count must be >= 1")
     b = model.bits_per_sample
     if model.kind == "file":
-        need_bits = count * b
-        need_bytes = (need_bits + 7) // 8
+        need_bytes = (count * b + 7) // 8
         with open(model.path, "rb") as fh:
-            data = fh.read(need_bytes)
-        if len(data) < need_bytes:
+            buf = bytearray(fh.read(need_bytes))
+        if len(buf) < need_bytes:
             raise TruncatedSourceError(
-                f"{model.path} holds {len(data)} bytes; {need_bytes} needed for "
+                f"{model.path} holds {len(buf)} bytes; {need_bytes} needed for "
                 f"{count} samples of {b} bits"
             )
-        buf = bytearray(data)
-        if need_bits % 8:
-            buf[-1] &= (1 << (need_bits % 8)) - 1
-        return bytes(buf)
+        buf[-1] &= 0xFF >> (-count * b % 8)  # zero the pad bits
+        return iter((bytes(buf),))
     if model.kind not in _ANALYTIC_KINDS:
         raise ValueError(f"cannot generate from a {model.kind!r} model")
     rng = np.random.default_rng(model.seed)
@@ -178,11 +184,17 @@ def generate(model: SourceModel, count: int) -> bytes:
         cum = np.cumsum(model.table, axis=1)
         cum[:, -1] = 1.0  # guard against float sum drift
         rows = cum.tolist()
-        u = rng.random(count)
-        walk = accumulate(map(float, u), lambda state, x: bisect_right(rows[state], x),
-                          initial=int(rng.integers(0, 1 << b)))
-        return _pack_samples(np.fromiter(walk, "<u8", count + 1)[1:], b)
-    if model.kind == "iid-biased":
+        after = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(count))
+        state = int(after.integers(0, 1 << b))
+
+        def draw(u):
+            nonlocal state
+            walk = accumulate(map(float, u), lambda s, x: bisect_right(rows[s], x),
+                              initial=state)
+            values = np.fromiter(walk, "<u8", len(u) + 1)[1:]
+            state = int(values[-1])
+            return values
+    elif model.kind == "iid-biased":
         def draw(u):
             return u < model.p
     else:
@@ -191,8 +203,13 @@ def generate(model: SourceModel, count: int) -> bytes:
 
         def draw(u):
             return cdf.searchsorted(u, side="right")
-    chunks = (rng.random(min(_CHUNK, count - i)) for i in range(0, count, _CHUNK))
-    return b"".join(_pack_samples(draw(u), b) for u in chunks)
+    return (_pack_samples(draw(rng.random(min(_CHUNK, count - i))), b)
+            for i in range(0, count, _CHUNK))
+
+
+def generate(model: SourceModel, count: int) -> bytes:
+    """The stream of :func:`sample_chunks` as one bytes object."""
+    return b"".join(sample_chunks(model, count))
 
 
 def certify_forward_block(model: SourceModel) -> MinEntropyCertificate:
@@ -325,4 +342,5 @@ __all__ = [
     "joint_table",
     "markov",
     "parse_model",
+    "sample_chunks",
 ]

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, round trips, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import blockext.bench
@@ -32,7 +34,9 @@ from blockext.errors import (
 from blockext.extractor import extract_eq, extract_neq
 from blockext.params import plan_eq
 from blockext.report import ExtractionReport, parse_document, plan_from_text
+from blockext.sources import parse_model
 from tests.test_bitio import NotReadyIO
+from tests.test_simulated_streams import COUNTS, DIGESTS, MODELS
 
 
 def run_cli(*argv):
@@ -701,6 +705,38 @@ def test_simulate_truncated_file_is_io_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"kind": "file", "b": 8, "path": str(raw)}))
     assert run_cli("simulate", "--config", str(cfg), "--count", "64",
                    "--out", str(tmp_path / "copy.bin")) == 5
+
+
+@pytest.mark.parametrize("config, code", [
+    ({"kind": "joint", "b": 1, "probs": [0.25, 0.25, 0.25, 0.25]}, 2),
+    ({"kind": "file", "b": 8, "path": "raw.bin"}, 5),
+], ids=["joint", "truncated-file"])
+def test_refused_simulate_never_creates_its_output(tmp_path, monkeypatch, capsys, config, code):
+    monkeypatch.chdir(tmp_path)
+    Path("raw.bin").write_bytes(bytes(4))
+    Path("m.json").write_text(json.dumps(config))
+    assert run_cli("simulate", "--config", "m.json", "--count", "64", "--out", "s.bin") == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not Path("s.bin").exists()
+
+
+@pytest.mark.parametrize("name", ["markov-b2", "uniform-b16"])
+def test_simulate_writes_the_recorded_bytes(tmp_path, capsys, name):
+    model = MODELS[name]()
+    config = ({"kind": "uniform", "b": 16, "seed": 7} if name == "uniform-b16" else
+              {"kind": "markov", "b": 2, "seed": model.seed,
+               "transitions": model.table.tolist()})
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(config))
+    parsed = parse_model(json.loads(cfg.read_text()))
+    assert (parsed.kind, parsed.seed) == (model.kind, model.seed)
+    assert np.array_equal(parsed.table, model.table)   # JSON floats round-trip exactly
+    out = tmp_path / "s.bin"
+    assert run_cli("simulate", "--config", str(cfg), "--count", "200001",
+                   "--out", str(out)) == 0
+    _, fields = parse_document(capsys.readouterr().out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name][COUNTS.index(200_001)]
+    assert int(fields["bytes_written"]) == out.stat().st_size
 
 
 @pytest.mark.parametrize("case", ["out-raw", "out-report", "out-config"])

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from blockext.sources import file_source, generate, iid_biased, iid_table, markov, parse_model
+from blockext.sources import sample_chunks
 
 COUNTS = (1, 7, 8, 9, 2**16 - 1, 2**16, 2**16 + 1, 200_001)
 FILE_BITS = 3
@@ -215,3 +216,15 @@ def test_generate_memory_is_about_the_output():
         tracemalloc.stop()
     assert len(data) == 2**21
     assert peak < 16 * 2**20, peak
+
+
+def test_sample_chunks_memory_is_one_chunk():
+    model = markov(np.full((4, 4), 0.25), 2, seed=3)
+    tracemalloc.start()
+    try:
+        written = sum(len(chunk) for chunk in sample_chunks(model, 2**22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == 2**20
+    assert peak < 4 * 2**20, peak
