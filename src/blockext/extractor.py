@@ -432,7 +432,9 @@ def _write_all(sink, data: bytes) -> None:
         data = data[written:]
 
 
-def _check_workers(workers: int) -> None:
+def _check_entry(plan, plan_type: type, refusal: str, workers: int) -> None:
+    if not isinstance(plan, plan_type):
+        raise TypeError(refusal)
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
@@ -446,9 +448,7 @@ def extract_eq(x_stream, y_stream, plan: EqPlan, *, workers: int = 1,
     >= 1 and has no effect: blocks always run in order on the calling
     thread.
     """
-    if not isinstance(plan, EqPlan):
-        raise TypeError("extract_eq needs an EqPlan")
-    _check_workers(workers)
+    _check_entry(plan, EqPlan, "extract_eq needs an EqPlan", workers)
     return Extraction(x_stream, y_stream, plan, max_blocks=max_blocks)
 
 
@@ -463,9 +463,7 @@ def extract_neq(x_stream, y_stream, plan: NeqPlan, *, workers: int = 1,
     :func:`extract_eq` on the same streams.  `workers` is as for
     :func:`extract_eq`.
     """
-    if not isinstance(plan, NeqPlan):
-        raise TypeError("extract_neq needs a NeqPlan")
-    _check_workers(workers)
+    _check_entry(plan, NeqPlan, "extract_neq needs a NeqPlan", workers)
     return Extraction(x_stream, y_stream, plan, max_blocks=max_blocks)
 
 

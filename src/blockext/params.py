@@ -152,23 +152,37 @@ class NeqPlan:
         return k * self.first_field_bits + (k - 1) * k * self.growth * self.bits_per_sample // 2
 
 
-def _vec_len(entropy_rate: Fraction) -> int:
-    """Samples-per-element count: ceil(24 / (2*rate - 1)), exact."""
-    return math.ceil(Fraction(24) / (2 * entropy_rate - 1))
-
-
-def _validate_rate(entropy_rate: Fraction) -> None:
+def _vec_len(entropy_rate: Fraction, bits_per_sample: int) -> int:
+    """Samples-per-element count ceil(24 / (2*rate - 1)), exact, once the
+    rate and then b are checked."""
     if entropy_rate <= Fraction(1, 2):
         raise UnsupportedRateError(
             f"min-entropy rate {entropy_rate} <= 1/2; extraction requires rate > 1/2"
         )
     if entropy_rate > 1:
         raise ValueError(f"min-entropy rate {entropy_rate} exceeds 1")
+    _validate_sample_bits(bits_per_sample)
+    return math.ceil(Fraction(24) / (2 * entropy_rate - 1))
 
 
 def _validate_sample_bits(bits_per_sample: int) -> None:
     if not 1 <= bits_per_sample <= MAX_SAMPLE_BITS:
         raise ValueError(f"bits per sample must be in 1..{MAX_SAMPLE_BITS}")
+
+
+def _log2_epsilon(epsilon: Fraction) -> float:
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
+    return log2_fraction(epsilon)
+
+
+def _smallest_width(b: int, meets, refusal) -> int:
+    """Smallest multiple q of b up to MAX_FIELD_BITS with meets(q), else
+    CapacityError(refusal(q)) for the first multiple q past the cap."""
+    for q in range(b, MAX_FIELD_BITS + 1, b):
+        if meets(q):
+            return q
+    raise CapacityError(refusal(q + b))
 
 
 def plan_eq(bits_per_sample: int, num_samples: int, entropy_rate, epsilon) -> EqPlan:
@@ -181,29 +195,21 @@ def plan_eq(bits_per_sample: int, num_samples: int, entropy_rate, epsilon) -> Eq
     """
     entropy_rate = as_rational(entropy_rate, "entropy_rate")
     epsilon = as_rational(epsilon, "epsilon")
-    _validate_rate(entropy_rate)
-    _validate_sample_bits(bits_per_sample)
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
+    n = _vec_len(entropy_rate, bits_per_sample)
+    log2_eps = _log2_epsilon(epsilon)
     if num_samples < 1:
         raise ValueError("sample count must be positive")
 
-    n = _vec_len(entropy_rate)
     b = bits_per_sample
     threshold = Fraction(num_samples) / (epsilon * n)  # need 2^q >= this
-    log2_eps = log2_fraction(epsilon)
-    q = b
-    while q <= MAX_FIELD_BITS:
-        if (1 << q) >= threshold:
-            num_blocks = num_samples * b // (q * n)
-            log2_error = _sum_log2_error(num_blocks, n, q, entropy_rate)
-            if log2_error <= log2_eps:
-                break
-        q += b
-    else:
-        raise CapacityError(
-            f"derived field width {q} exceeds the {MAX_FIELD_BITS}-bit implementation cap"
-        )
+
+    def bound(q: int) -> float:
+        return _sum_log2_error(num_samples * b // (q * n), n, q, entropy_rate)
+
+    q = _smallest_width(
+        b, lambda q: (1 << q) >= threshold and bound(q) <= log2_eps,
+        lambda q: f"derived field width {q} exceeds the {MAX_FIELD_BITS}-bit implementation cap")
+    num_blocks = num_samples * b // (q * n)
     return EqPlan(
         bits_per_sample=b,
         num_samples=num_samples,
@@ -213,7 +219,7 @@ def plan_eq(bits_per_sample: int, num_samples: int, entropy_rate, epsilon) -> Eq
         field_bits=q,
         num_blocks=num_blocks,
         output_bits=num_blocks * q,
-        log2_error=log2_error,
+        log2_error=bound(q),
     )
 
 
@@ -233,12 +239,10 @@ def plan_neq(
     no infinite-run guarantee and reproduce the equal-block extractor.
     """
     entropy_rate = as_rational(entropy_rate, "entropy_rate")
-    _validate_rate(entropy_rate)
-    _validate_sample_bits(bits_per_sample)
+    n = _vec_len(entropy_rate, bits_per_sample)
     if growth < 0:
         raise ValueError("growth must be >= 0")
     b = bits_per_sample
-    n = _vec_len(entropy_rate)
 
     if first_field_bits is None:
         if epsilon is None:
@@ -246,17 +250,11 @@ def plan_neq(
         if growth < 1:
             raise DivergenceError("infinite-run planning requires growth >= 1")
         epsilon = as_rational(epsilon, "epsilon")
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-        log2_eps = log2_fraction(epsilon)
-        q1 = b
-        while _closed_form_limit(q1, growth * b) > log2_eps:
-            q1 += b
-            if q1 > MAX_FIELD_BITS:
-                raise CapacityError(
-                    f"starting width needed for epsilon={epsilon} exceeds "
-                    f"the {MAX_FIELD_BITS}-bit cap"
-                )
+        log2_eps = _log2_epsilon(epsilon)
+        q1 = _smallest_width(
+            b, lambda q: _closed_form_limit(q, growth * b) <= log2_eps,
+            lambda q: f"starting width needed for epsilon={epsilon} exceeds the "
+                      f"{MAX_FIELD_BITS}-bit cap")
     else:
         q1 = first_field_bits
         if q1 < 1 or q1 % b != 0:

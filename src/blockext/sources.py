@@ -34,10 +34,12 @@ from .params import _validate_sample_bits
 
 PROB_SUM_TOL = 2.0 ** -30
 
-# Widest `uniform` config model, built as a 2^b-entry float64 table (128 MiB).
+# Widest `uniform` config model.  The model holds no table, so this is a
+# matter of scope, not memory: floor(u * 2^b) of a float64 u stays exact up
+# to b = 53, and taking that is a separate capability.
 MAX_UNIFORM_BITS = 24
 
-_ANALYTIC_KINDS = ("iid-biased", "iid-table", "markov")
+_ANALYTIC_KINDS = ("iid-biased", "iid-table", "markov", "uniform")
 
 # Samples drawn and packed at a time by `sample_chunks`.
 _CHUNK = 1 << 16
@@ -48,9 +50,10 @@ class SourceModel:
     """A (b, N, rate)-block source specification.
 
     Use the factory functions (:func:`iid_biased`, :func:`iid_table`,
-    :func:`markov`, :func:`file_source`, :func:`joint_table`) rather than
-    constructing directly; they validate their parameters.  Every model
-    refuses a sample width b outside 1..64.
+    :func:`markov`, :func:`file_source`, :func:`joint_table`, or
+    :func:`parse_model`, whose `uniform` kind holds only b and the seed)
+    rather than constructing directly; they validate their parameters.
+    Every model refuses a sample width b outside 1..64.
     """
 
     kind: str
@@ -149,12 +152,15 @@ def sample_chunks(model: SourceModel, count: int) -> Iterator[bytes]:
     Joined, the chunks hold count * b bits packed little-endian; trailing
     pad bits of the final byte are zero.  Each simulated sample is one
     uniform draw u in [0, 1) from the model's seeded generator: 1 if u < p
-    for `iid-biased`, else the first outcome whose CDF value exceeds u (for
-    `markov`, in the current state's CDF row).  These are the draws
-    `Generator.choice` makes.  They do not depend on how the draws are
+    for `iid-biased`, floor(u * 2^b) for `uniform`, else the first outcome
+    whose CDF value exceeds u (for `markov`, in the current state's CDF
+    row).  These are the draws `Generator.choice` makes; for a uniform
+    table over 2^b outcomes with b <= 24, each CDF value is exactly
+    (k + 1) * 2^-b, so `uniform` gives that table's samples without
+    building it.  They do not depend on how the draws are
     split, so every analytic kind draws and packs _CHUNK samples at a time
     (whole bytes but for the last chunk), and memory is one chunk plus the
-    model's table.  A `markov` walk's first state is the one drawn after
+    model's table, if it has one.  A `markov` walk's first state is the one drawn after
     every u, taken from a copy of the generator advanced past them (each
     `random()` double is one 64-bit step).  A `file` model is one chunk:
     the file's first ceil(count * b / 8) bytes.
@@ -197,6 +203,9 @@ def sample_chunks(model: SourceModel, count: int) -> Iterator[bytes]:
     elif model.kind == "iid-biased":
         def draw(u):
             return u < model.p
+    elif model.kind == "uniform":
+        def draw(u):
+            return (u * 2.0 ** b).astype("<u8")
     else:
         cdf = np.cumsum(model.table)
         cdf /= cdf[-1]  # a scalar divisor, so no full-size temporary
@@ -223,6 +232,8 @@ def certify_forward_block(model: SourceModel) -> MinEntropyCertificate:
     if model.kind in _ANALYTIC_KINDS:
         if model.kind == "iid-biased":
             pmax = max(model.p, 1.0 - model.p)
+        elif model.kind == "uniform":
+            pmax = 2.0 ** -b
         else:
             # For markov, any window conditioned on a prefix is a path of
             # transitions; each step's mass is at most the global max entry,
@@ -314,11 +325,11 @@ def parse_model(config: dict) -> SourceModel:
     if kind == "iid-table":
         return iid_table(need("probs"), b, seed=seed)
     if kind == "uniform":
-        size = _outcomes(b)
+        _validate_sample_bits(b)
         if b > MAX_UNIFORM_BITS:
             raise ValueError(f"source config key {b_key!r} of kind 'uniform' must be at most "
                              f"{MAX_UNIFORM_BITS} (the model is a 2^b-entry table), got {b}")
-        return iid_table(np.full(size, 2.0 ** -b), b, seed=seed)
+        return SourceModel(kind="uniform", bits_per_sample=b, seed=seed)
     if kind == "markov":
         return markov(need("transitions"), b, seed=seed)
     if kind == "file":

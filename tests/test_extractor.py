@@ -949,6 +949,14 @@ def test_workers_validated_at_call_time():
         extract_neq(b"", b"", plan_neq(1, "3/4", 1, 1), workers=0)
 
 
+def test_entry_points_refuse_the_other_plan_type():
+    eq_plan, neq_plan = tiny_eq_plan(1, 2, 1, 2, 1), plan_neq(1, "3/4", 1, 1)
+    with pytest.raises(TypeError, match="^extract_eq needs an EqPlan$"):
+        extract_eq(b"", b"", neq_plan)
+    with pytest.raises(TypeError, match="^extract_neq needs a NeqPlan$"):
+        extract_neq(b"", b"", eq_plan)
+
+
 def test_max_blocks_validated_at_call_time():
     plan = tiny_eq_plan(1, 2, 1, 2, 1)
     for max_blocks in (0, -3):

@@ -1,6 +1,7 @@
 """Planner and error-bound tests; expected values frozen from exact evaluation."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,28 @@ def test_width_search_stops_at_the_first_width_past_the_cap():
     # stops at the first multiple of b past the 128-bit cap and names it.
     with pytest.raises(CapacityError, match="derived field width 144 "):
         plan_eq(16, 2**100_000, "10.74/16", "2^-30")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # plan_neq refusals, in the order the planner checks them
+    (lambda: plan_neq(16, "3/4", 16, -1), ValueError, "growth must be >= 0"),
+    (lambda: plan_neq(16, "3/4"), ValueError, "need first_field_bits or epsilon"),
+    (lambda: plan_neq(16, "3/4", growth=0, epsilon="2^-30"), DivergenceError,
+     "infinite-run planning requires growth >= 1"),
+    (lambda: plan_neq(16, "3/4", epsilon="2"), ValueError, "epsilon must be in (0,1), got 2"),
+    (lambda: plan_neq(16, "3/4", epsilon=0), ValueError, "epsilon must be in (0,1), got 0"),
+    (lambda: plan_neq(16, "3/4", epsilon="2^-200"), CapacityError,
+     f"starting width needed for epsilon={Fraction(1, 2**200)} exceeds the 128-bit cap"),
+    # plan_eq parses epsilon before it checks the rate, then checks b, the
+    # epsilon range and the sample count
+    (lambda: plan_eq(16, 2**16, "2/5", "x"), ValueError, "Invalid literal for Fraction: 'x'"),
+    (lambda: plan_eq(0, 2**16, "3/4", "2"), ValueError, "bits per sample must be in 1..64"),
+    (lambda: plan_eq(16, 0, "3/4", "2"), ValueError, "epsilon must be in (0,1), got 2"),
+    (lambda: plan_eq(16, 0, "3/4", "2^-30"), ValueError, "sample count must be positive"),
+])
+def test_planner_refusals_and_their_order(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_float_rate_rejected():

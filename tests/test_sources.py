@@ -48,6 +48,15 @@ def test_uniform_table_has_full_rate():
     assert cert.rate == 1.0 and cert.method == "analytic"
 
 
+@pytest.mark.parametrize("b", [1, 8, 20])
+def test_uniform_model_equals_the_explicit_uniform_table(b):
+    count = (1 << 16) + 1  # two chunks, the second one sample long
+    model = parse_model({"kind": "uniform", "b": b, "seed": 40 + b})
+    table = iid_table(np.full(1 << b, 2.0 ** -b), b, seed=40 + b)
+    assert generate(model, count) == generate(table, count)
+    assert certify_forward_block(model) == certify_forward_block(table)
+
+
 def test_biased_rate_and_planner_rejection():
     model = iid_biased(0.75, seed=0)
     cert = certify_forward_block(model)
@@ -179,7 +188,7 @@ def test_parse_model_kinds(tmp_path):
     m = parse_model({"kind": "iid-biased", "p": 0.25, "seed": 5})
     assert m.kind == "iid-biased" and m.p == 0.25 and m.seed == 5
     m = parse_model({"kind": "uniform", "b": 4})
-    assert m.kind == "iid-table" and m.table.shape == (16,)
+    assert m.kind == "uniform" and m.table is None
     m = parse_model({"kind": "markov", "b": 1,
                      "transitions": [[0.9, 0.1], [0.2, 0.8]]})
     assert m.kind == "markov"
