@@ -13,8 +13,9 @@ set to DIR/src (DIR defaults to this repository) and reads the child's
 `ru_maxrss` includes the high-water RSS of the process that spawned it, so
 the numbers are only the command's own when the parent is smaller than the
 command, which a `-S` interpreter importing nothing but `os`, `sys`,
-`json` and `time` is.  With no argument after the options it measures the
-four `verify` commands the `oracles` workload and `verify`'s defaults run.
+`json` and `time` is.  With no argument after the options it measures five
+`verify` commands: the two of the `oracles` workload, the distance suite at
+t <= 12, `verify` at its defaults and the hadamard suite at t <= 16.
 Prints one JSON object: per command, the runs and their medians.  For
 example, a 16 MiB simulated stream:
 
@@ -29,6 +30,7 @@ import time
 COMMANDS = (
     ("--suite", "bias", "--max-bits", "10"),
     ("--suite", "hadamard", "--max-bits", "13"),
+    ("--suite", "distance", "--max-bits", "12"),
     (),
     ("--suite", "hadamard", "--max-bits", "16"),
 )

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+import stat
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -162,8 +164,9 @@ def sample_chunks(model: SourceModel, count: int) -> Iterator[bytes]:
     (whole bytes but for the last chunk), and memory is one chunk plus the
     model's table, if it has one.  A `markov` walk's first state is the one drawn after
     every u, taken from a copy of the generator advanced past them (each
-    `random()` double is one 64-bit step).  A `file` model is one chunk:
-    the file's first ceil(count * b / 8) bytes.
+    `random()` double is one 64-bit step).  A `file` model replays the
+    file's first ceil(count * b / 8) bytes, _CHUNK samples' bytes at a time
+    from a regular file and in one chunk from anything else.
 
     Every check is made before this returns, so a caller can refuse a bad
     request before it opens its output: count < 1 and a model that cannot
@@ -173,16 +176,9 @@ def sample_chunks(model: SourceModel, count: int) -> Iterator[bytes]:
         raise ValueError("sample count must be >= 1")
     b = model.bits_per_sample
     if model.kind == "file":
-        need_bytes = (count * b + 7) // 8
-        with open(model.path, "rb") as fh:
-            buf = bytearray(fh.read(need_bytes))
-        if len(buf) < need_bytes:
-            raise TruncatedSourceError(
-                f"{model.path} holds {len(buf)} bytes; {need_bytes} needed for "
-                f"{count} samples of {b} bits"
-            )
-        buf[-1] &= 0xFF >> (-count * b % 8)  # zero the pad bits
-        return iter((bytes(buf),))
+        chunks = _replay(model.path, count, b)
+        next(chunks)  # the length check
+        return chunks
     if model.kind not in _ANALYTIC_KINDS:
         raise ValueError(f"cannot generate from a {model.kind!r} model")
     rng = np.random.default_rng(model.seed)
@@ -214,6 +210,35 @@ def sample_chunks(model: SourceModel, count: int) -> Iterator[bytes]:
             return cdf.searchsorted(u, side="right")
     return (_pack_samples(draw(rng.random(min(_CHUNK, count - i))), b)
             for i in range(0, count, _CHUNK))
+
+
+def _replay(path: str, count: int, b: int) -> Iterator[bytes | None]:
+    """None once the file is known to hold count samples, then their bytes in chunks.
+
+    A regular file is sized by `os.fstat` and read _CHUNK samples' bytes at
+    a time; anything else is read whole, since only a read can size it.
+    The pad bits of the last byte are zeroed.  TruncatedSourceError for a
+    file too short, and for a regular file that shrinks while it is read.
+    """
+    need = (count * b + 7) // 8
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        whole = None if stat.S_ISREG(info.st_mode) else fh.read(need)
+        have = info.st_size if whole is None else len(whole)
+        if have < need:
+            raise TruncatedSourceError(
+                f"{path} holds {have} bytes; {need} needed for {count} samples of {b} bits"
+            )
+        yield None
+        step = _CHUNK * b // 8 if whole is None else need
+        for start in range(0, need, step):
+            size = min(step, need - start)
+            chunk = bytearray(fh.read(size) if whole is None else whole)
+            if len(chunk) < size:
+                raise TruncatedSourceError(f"{path} shrank below {need} bytes while it was read")
+            if start + size == need:
+                chunk[-1] &= 0xFF >> (-count * b % 8)  # zero the pad bits
+            yield bytes(chunk)
 
 
 def generate(model: SourceModel, count: int) -> bytes:
@@ -328,7 +353,8 @@ def parse_model(config: dict) -> SourceModel:
         _validate_sample_bits(b)
         if b > MAX_UNIFORM_BITS:
             raise ValueError(f"source config key {b_key!r} of kind 'uniform' must be at most "
-                             f"{MAX_UNIFORM_BITS} (the model is a 2^b-entry table), got {b}")
+                             f"{MAX_UNIFORM_BITS} (wider uniform models are out of scope), "
+                             f"got {b}")
         return SourceModel(kind="uniform", bits_per_sample=b, seed=seed)
     if kind == "markov":
         return markov(need("transitions"), b, seed=seed)

@@ -57,14 +57,16 @@ equal to literal enumeration, and each has a guard:
     so a pair's spectrum is a sum of 2^q * 2^k lookups in the Walsh
     transform of the y support instead of a 4^k-cell histogram.  Guard: the
     table is first checked, over all 4^t cells, to equal the XOR-span of its
-    unit columns; a table that is not takes the literal path.
+    unit columns, block of rows by block; a table that is not takes the
+    literal path.
   * Discrete-log convolution (one-bit bias, n = 1).  With g a generator of
     the multiplicative group, log(x * y) = log x + log y mod 2^q - 1, so the
     histogram of x * y over a support pair is the cyclic convolution of the
     two log indicators, plus the zero cell in closed form; it is taken by
     FFT for a batch of pairs and rounded.  Guard: g is read off the table
     and every cell is checked against exp[log x + log y] (row 0 and column 0
-    zero); a table that fails, or q = 1, takes the literal path.  A
+    zero), block of rows by block; a table that fails, or q = 1, takes the
+    literal path.  A
     convolution value 1/4 or more from an integer raises ArithmeticError.
 
 Every inner-product table is assembled from window tables: for each digit
@@ -78,13 +80,17 @@ Working set.  Besides the tables an instance needs, every temporary holds
 at most _CELL_BUDGET cells: the table builders, the every-cell guards, the
 spectra, the Walsh transform, the support pairs and the distance weights
 work in chunks of rows or batches of pairs sized by it, with index arrays
-in the narrowest unsigned dtype that holds them exactly.  A bias instance
-keeps one dense 2^t x 2^t table live (the log tables are read off
-z = <x, y> first, then z becomes brow[z] in place), and the shift and
-window tables are cached for the current width only, so a sweep over q
-holds one width's tables.  Chunking changes no verdict or integer; the
-distance's float64 sums follow the chunks, and are exact for the uniform
-and flat sources `verify` draws.
+in the narrowest unsigned dtype that holds them exactly.  The bias guards
+and the distance read the 2^t x 2^t inner-product table in row blocks of
+_ROW_BLOCK_CELLS cells, each pass writing every block into one buffer
+(:func:`_ip_row_blocks`).  Only the literal references hold it whole: the
+literal bias path (built at the first entropy floor that takes it, and
+turned into brow[z] in place), the direct Hadamard method and
+:func:`ip_value_table`.  The shift and window tables are cached for the
+current width only, so a sweep over q holds one width's tables.  Chunking
+changes no verdict or integer; the distance's float64 sums follow the same
+chunks of rows whatever the blocks, and are exact for the uniform and flat
+sources `verify` draws.
 """
 
 from __future__ import annotations
@@ -104,6 +110,7 @@ from .params import LOG2_SQRT3
 MAX_HADAMARD_BITS = 16
 MAX_DENSE_BITS = 12       # full 2^t x 2^t inner-product tables
 _CELL_BUDGET = 1 << 15    # cells of each temporary array: the working-set rule (module docstring)
+_ROW_BLOCK_CELLS = 1 << 18  # cells of each row block the guards and the distance read a table in
 _GRAM_BLOCK_OPS = 1 << 18  # multiply-adds per float product; OpenBLAS threads above this
 EXHAUSTIVE_LIMIT = 10**5  # one-bit bias: enumerate supports up to this many
 SAMPLED_PAIRS = 200       # one-bit bias: seeded support pairs tested otherwise
@@ -244,7 +251,8 @@ def _windows(q: int) -> list[tuple[int, int]]:
     return [(base, min(8, q - base)) for base in range(0, q, 8)]
 
 
-def _ip_rows(ctx: GFContext, n: int, d_values: np.ndarray) -> np.ndarray:
+def _ip_rows(ctx: GFContext, n: int, d_values: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Rows of inner-product values: out[r, y] = <d_values[r], y> over all y.
 
     Vectorized schoolbook.  The y index is positional: each digit of y,
@@ -252,7 +260,9 @@ def _ip_rows(ctx: GFContext, n: int, d_values: np.ndarray) -> np.ndarray:
     row.  The windows of y's high bits and of its low bits are XOR-chained
     apart (split where the larger part is smallest), and one broadcast XOR
     of the two parts writes each chunk of rows, so no temporary holds more
-    than _CELL_BUDGET cells however many rows are asked for.
+    than _CELL_BUDGET cells however many rows are asked for.  The rows go
+    into `out` when it is given (uint16, one row per d value), else into a
+    new array.
     """
     q = ctx.q
     d_values = np.asarray(d_values)
@@ -260,7 +270,8 @@ def _ip_rows(ctx: GFContext, n: int, d_values: np.ndarray) -> np.ndarray:
     axes = [(i, base, width) for i in reversed(range(n)) for base, width in reversed(_windows(q))]
     widths = [width for _, _, width in axes]
     split = min(range(len(axes) + 1), key=lambda m: max(sum(widths[:m]), sum(widths[m:])))
-    out = np.empty((len(d_values), 1 << (q * n)), dtype=np.uint16)
+    if out is None:
+        out = np.empty((len(d_values), 1 << (q * n)), dtype=np.uint16)
     rows = _rows_per_chunk(1 << max(sum(widths[:split]), sum(widths[split:])))
     for start in range(0, len(d_values), rows):
         d = d_values[start:start + rows]
@@ -287,6 +298,33 @@ def ip_value_table(ctx: GFContext, n: int) -> np.ndarray:
     """Dense table of <x, y> for all x, y; feasible for q*n <= 12."""
     t = _feasible(ctx, n, MAX_DENSE_BITS, "dense inner-product table")
     return _ip_rows(ctx, n, _offsets(1 << t))
+
+
+def _ip_row_blocks(ctx: GFContext, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(x, z) with z[r, y] = <x + r, y>: the rows of the dense table, a block at a time.
+
+    :func:`_ip_rows` writes every block into one buffer of _ROW_BLOCK_CELLS
+    cells (the whole table when it is smaller), allocated once per call, so
+    a block is valid until the next one is asked for and its reader may
+    overwrite it.
+    """
+    size = 1 << (ctx.q * n)
+    offsets = _offsets(size)
+    block = np.empty((min(size, _ROW_BLOCK_CELLS // size), size), dtype=np.uint16)
+    for x in range(0, size, len(block)):
+        yield x, _ip_rows(ctx, n, offsets[x:x + len(block)], out=block)
+
+
+def _first_bits(brow: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z becomes brow[z] in place, in chunks of rows within _CELL_BUDGET cells; returns z.
+
+    Each cell then names the functional group of its value: the first bit
+    of a * z[x, y] is parity(a & brow[z[x, y]]).
+    """
+    rows = _rows_per_chunk(z.shape[1])
+    for start in range(0, len(z), rows):
+        z[start:start + rows] = brow[z[start:start + rows]]
+    return z
 
 
 def _rows_per_chunk(width: int) -> int:
@@ -501,41 +539,45 @@ def bias_reports(ctx: GFContext, n: int, ks: Sequence[int], *,
                  seed: int = 0) -> Iterator[BiasReport]:
     """One :func:`check_one_bit_bias` report per entropy floor in ks, in order.
 
-    The table is built once for all of ks; each k draws its support pairs
-    as :func:`check_one_bit_bias` does, from `seed`.  Each pair's spectrum
-    is the Walsh transform of its grouped histogram (4^k cells,
+    The guards run once for all of ks; each k draws its support pairs as
+    :func:`check_one_bit_bias` does, from `seed`.  Each pair's spectrum is
+    the Walsh transform of its grouped histogram (4^k cells,
     :func:`_literal_spectra`).  It comes instead, when n = 1 and the table
     passes the discrete-log guard, from a cyclic convolution of log
     indicators (:func:`_log_tables`, :func:`_log_spectra`), or, when q < k
     and the table is GF(2)-linear in y, from 2^k lookups per a in the Walsh
     transform of the y support (:func:`_y_functionals`,
-    :func:`_linear_spectra`).  All give the same integers.  One dense
-    table is live: the log tables are read off z = <x, y> first, then z
-    becomes brow[z] in place, chunk by chunk.
+    :func:`_linear_spectra`).  All give the same integers.  The guards read
+    the table in row blocks (:func:`_ip_row_blocks`); only the literal
+    path reads it whole, as brow[z], built at the first k that takes it.
     """
     t = _feasible(ctx, n, MAX_DENSE_BITS, "one-bit bias check")
     for k in ks:
         if not 0 <= k <= t:
             raise ValueError(f"entropy floor k={k} outside 0..{t}")
     size = 1 << t
-    w = ip_value_table(ctx, n)
     brow = first_bit_rows(ctx)
-    logs = _log_tables(w) if n == 1 else None
-    rows = _rows_per_chunk(size)
-    for start in range(0, size, rows):   # map each (x, y) cell straight to its functional group
-        w[start:start + rows] = brow[w[start:start + rows]]
-    functionals = cache(lambda: _y_functionals(w, ctx.q))   # built at the first k > q
+    logs = _block_log_tables(ctx) if n == 1 else None
+    functionals = None
+    if logs is None and any(ctx.q < k for k in ks):
+        functionals = _block_y_functionals(ctx, n, brow)
+    literal_table = cache(lambda: _first_bits(brow, ip_value_table(ctx, n)))
 
     for k in ks:
         support = 1 << k
         sets, exhaustive = _support_sets(size, support, seed)
         # Each path's largest temporary per pair, in cells, sizes its batches.
+        # The log path's float64 and complex FFT arrays count 8 cells a
+        # value: the allocator reuses arrays of 2^12 values, where arrays of
+        # 2^15 faulted in fresh pages every batch (5,430 minor faults in
+        # `verify --suite bias --max-bits 10` against 24).
         if logs is not None:
-            spectra, cells = partial(_log_spectra, logs, brow), 1 << ctx.q
-        elif ctx.q < k and functionals() is not None:
-            spectra, cells = partial(_linear_spectra, functionals()), max(size, support << ctx.q)
+            spectra, cells = partial(_log_spectra, logs, brow), 8 << ctx.q
+        elif ctx.q < k and functionals is not None:
+            spectra, cells = partial(_linear_spectra, functionals), max(size, support << ctx.q)
         else:
-            spectra, cells = partial(_literal_spectra, w, ctx.q), max(support**2, 1 << ctx.q)
+            spectra = partial(_literal_spectra, literal_table(), ctx.q)
+            cells = max(support**2, 1 << ctx.q)
         denom = float(support) * float(support)
         max_bias, pairs = 0.0, 0
         for sx, sy in _pair_batches(sets, exhaustive, _rows_per_chunk(cells)):
@@ -601,13 +643,14 @@ def _literal_spectra(w: np.ndarray, q: int, sx: np.ndarray, sy: np.ndarray) -> n
 
 
 def _y_functionals(w: np.ndarray, q: int) -> np.ndarray | None:
-    """L[a, x] with parity(a & w[x, y]) = parity(y & L[a, x]) for every y.
+    """L[a, r] with parity(a & w[r, y]) = parity(y & L[a, r]) for every y.
 
-    Bit j of L[a, x] is parity(a & w[x, 2^j]), which is linear in a: row
-    2^i holds bit i of the unit columns w[x, 2^j], and rows [2^i, 2^(i+1))
+    Bit j of L[a, r] is parity(a & w[r, 2^j]), which is linear in a: row
+    2^i holds bit i of the unit columns w[r, 2^j], and rows [2^i, 2^(i+1))
     are rows [0, 2^i) XOR row 2^i, so each cell is written once.  The
-    identity needs w[x, .] to be GF(2)-linear in y, so it is checked first,
-    over all 4^t cells (:func:`_linear_in_y`).  A table that fails gets None.
+    identity needs w[r, .] to be GF(2)-linear in y, so it is checked first,
+    over every cell (:func:`_linear_in_y`).  A table that fails gets None.
+    Each row r stands alone, so w may be any block of a table's rows.
     """
     if not _linear_in_y(w):
         return None
@@ -619,6 +662,21 @@ def _y_functionals(w: np.ndarray, q: int) -> np.ndarray | None:
     for i in range(q):
         row = (((units >> i) & 1) << shifts).sum(axis=1, dtype=np.uint16)
         np.bitwise_xor(functionals[:1 << i], row, out=functionals[1 << i:2 << i])
+    return functionals
+
+
+def _block_y_functionals(ctx: GFContext, n: int, brow: np.ndarray) -> np.ndarray | None:
+    """:func:`_y_functionals` of the table brow[<x, y>], over its row blocks.
+
+    Each block is mapped through brow in place and checked over every cell;
+    its functionals are columns x of the whole.  None when a block fails.
+    """
+    functionals = np.empty((1 << ctx.q, 1 << (ctx.q * n)), dtype=np.uint16)
+    for x, z in _ip_row_blocks(ctx, n):
+        block = _y_functionals(_first_bits(brow, z), ctx.q)
+        if block is None:
+            return None
+        functionals[:, x:x + len(z)] = block
     return functionals
 
 
@@ -644,24 +702,39 @@ def _linear_spectra(functionals: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> 
 
 
 def _log_tables(z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(exp, log) with exp[i] = g^i, log[exp[i]] = i, for z[x, y] = x * y (n = 1).
+    """(exp, log) of :func:`_discrete_logs` for a whole table z[x, y] = x * y (n = 1).
 
-    A generator g is read off the table: its powers, taken through row
-    z[g], must hit all 2^q - 1 nonzero elements.  The table is then checked
-    over every cell: row 0 and column 0 are zero, and z[x, y] =
-    exp[(log x + log y) mod (2^q - 1)], in chunks of rows within
-    _CELL_BUDGET cells, in uint16 (log x + log y < 2^13).  log[0] is
-    2^q - 1, one past every power.  None when no g is found (always at
-    q = 1, where g = 1 is the only candidate) or a cell differs.
+    None unless its rows give a generator and every cell passes
+    :func:`_log_rows_match`.
     """
-    size = z.shape[0]
-    order = size - 1
-    if z[0].any() or z[:, 0].any():
+    logs = _discrete_logs(z.__getitem__, len(z))
+    return logs if logs is not None and _log_rows_match(logs, 0, z) else None
+
+
+def _block_log_tables(ctx: GFContext) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_log_tables` of the n = 1 table, whose cells are read in row blocks.
+
+    The generator's rows are made one at a time.
+    """
+    logs = _discrete_logs(lambda g: _ip_rows(ctx, 1, np.array([g]))[0], 1 << ctx.q)
+    if logs is None or not all(_log_rows_match(logs, x, z) for x, z in _ip_row_blocks(ctx, 1)):
         return None
+    return logs
+
+
+def _discrete_logs(row, size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(exp, log) with exp[i] = g^i and log[exp[i]] = i, for the table z[x, y] = x * y.
+
+    A generator g is read off the table: its powers, taken through the row
+    row(g) = z[g], must hit all size - 1 nonzero elements.  log[0] is size - 1, one
+    past every power.  None when no g is found (always at q = 1, where
+    g = 1 is the only candidate).
+    """
+    order = size - 1
     for g in range(2, size):
-        row, powers, seen = z[g].tolist(), [1], {1}
+        values, powers, seen = row(g).tolist(), [1], {1}
         while len(powers) < order:
-            power = row[powers[-1]]
+            power = values[powers[-1]]
             if not 0 < power < size or power in seen:
                 break
             seen.add(power)
@@ -674,13 +747,27 @@ def _log_tables(z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     log = np.empty(size, dtype=np.uint16)
     log[exp] = np.arange(order)
     log[0] = order
-    exp_twice = np.concatenate((exp, exp))   # exp_twice[i + j] = exp[(i + j) mod order]
-    rows = _rows_per_chunk(size)
-    for start in range(1, size, rows):
-        sums = log[start:start + rows, None] + log[1:]
-        if not np.array_equal(z[start:start + rows, 1:], exp_twice[sums]):
-            return None
     return exp, log
+
+
+def _log_rows_match(logs: tuple[np.ndarray, np.ndarray], x: int, z: np.ndarray) -> bool:
+    """Whether rows x, x + 1, ... of the table, held in z, are x * y by (exp, log).
+
+    Checked over every cell: column 0 (and row 0) are zero, and z[r, y] =
+    exp[(log(x + r) + log y) mod (2^q - 1)], in chunks of rows within
+    _CELL_BUDGET cells, in uint16 (log x + log y < 2^13).
+    """
+    exp, log = logs
+    if z[:, 0].any() or (x == 0 and z[0].any()):
+        return False
+    exp_twice = np.concatenate((exp, exp))   # exp_twice[i + j] = exp[(i + j) mod order]
+    rows = _rows_per_chunk(z.shape[1])
+    for start in range(1 if x == 0 else 0, len(z), rows):
+        cells = z[start:start + rows, 1:]
+        sums = log[x + start:x + start + len(cells), None] + log[1:]
+        if not np.array_equal(cells, exp_twice[sums]):
+            return False
+    return True
 
 
 def _log_spectra(logs: tuple[np.ndarray, np.ndarray], brow: np.ndarray,
@@ -769,13 +856,13 @@ def check_extractor_distance(
             raise ValueError(
                 f"tables have min-entropy {hmin:.6f} < declared rate * qn = {rate * t:.6f}"
             )
-    z = ip_value_table(ctx, n)
     out = np.zeros(1 << ctx.q)
     chunk = _rows_per_chunk(size)
-    for start in range(0, size, chunk):   # chunks of rows bound the weight arrays
-        rows = slice(start, start + chunk)
-        out += np.bincount(z[rows].ravel(), weights=np.outer(px[rows], py).ravel(),
-                           minlength=1 << ctx.q)
+    for x, z in _ip_row_blocks(ctx, n):
+        for start in range(0, len(z), chunk):   # chunks of rows bound the weight arrays
+            weights = np.outer(px[x + start:x + start + chunk], py)
+            out += np.bincount(z[start:start + chunk].ravel(), weights=weights.ravel(),
+                               minlength=1 << ctx.q)
     distance = 0.5 * float(np.abs(out - 1.0 / (1 << ctx.q)).sum())
     log2_bound = LOG2_SQRT3 - 0.25 - (rate / 4.0 - 0.125) * t + 2.0 * ctx.q
     bound = min(1.0, 2.0 ** log2_bound)

@@ -228,3 +228,16 @@ def test_sample_chunks_memory_is_one_chunk():
         tracemalloc.stop()
     assert written == 2**20
     assert peak < 4 * 2**20, peak
+
+
+def test_file_replay_memory_is_one_chunk(tmp_path):
+    path = tmp_path / "captured.bin"
+    path.write_bytes(np.random.default_rng(6).bytes(2**22))
+    tracemalloc.start()
+    try:
+        written = sum(len(chunk) for chunk in sample_chunks(file_source(str(path), 8), 2**22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == 2**22
+    assert peak < 2**20, peak

@@ -1,6 +1,8 @@
 """Simulator determinism, framing, and min-entropy certificates."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from blockext.sources import (
     joint_table,
     markov,
     parse_model,
+    sample_chunks,
 )
 
 
@@ -172,6 +175,31 @@ def test_file_source_partial_final_byte(tmp_path):
     path.write_bytes(bytes([0xFF]))
     data = generate(file_source(str(path), 3), 2)   # 6 bits used
     assert data == bytes([0b00111111])
+
+
+def test_file_source_is_sized_first_and_read_by_chunks(tmp_path):
+    # 2^16 samples are one chunk: at b = 3 that is 24,576 bytes, and three
+    # more samples start a second chunk of 2 bytes, the last keeping 1 bit.
+    # A regular file too short is refused by its length, before any chunk.
+    path = tmp_path / "raw.bin"
+    payload = np.random.default_rng(8).bytes(24_577) + bytes([0xFF] * 3)
+    path.write_bytes(payload)
+    chunks = list(sample_chunks(file_source(str(path), 3), 2**16 + 3))
+    assert chunks == [payload[:24_576], payload[24_576:24_577] + bytes([0b1])]
+    with pytest.raises(TruncatedSourceError):
+        sample_chunks(file_source(str(path), 3), 2**16 + 12)
+
+
+def test_file_source_from_a_pipe_is_one_read(tmp_path):
+    # A pipe cannot be sized by fstat, so it is read whole, then checked.
+    path = tmp_path / "raw.fifo"
+    os.mkfifo(path)
+    payload = bytes(range(100))
+    writer = threading.Thread(target=path.write_bytes, args=(payload,))
+    writer.start()
+    chunks = list(sample_chunks(file_source(str(path), 3), 201))   # 603 bits
+    writer.join()
+    assert chunks == [payload[:75] + bytes([payload[75] & 0b111])]
 
 
 def test_joint_infeasible_limits():

@@ -40,7 +40,10 @@ from blockext.verify import (
 )
 from blockext.verify import (
     BiasReport,
+    _block_log_tables,
+    _block_y_functionals,
     _gf2_ranks,
+    _ip_row_blocks,
     _ip_rows,
     _linear_spectra,
     _log_spectra,
@@ -650,18 +653,21 @@ def test_bias_on_a_table_not_linear_in_y_takes_the_literal_path(monkeypatch, cas
         "cell": (6, 0, 1 / 64, 33 / 2048, 1, True),
         "column": (4, 7, 3 / 16, 25 / 128, 200, False),
     }[case]
-    real_table = verify_mod.ip_value_table
+    real_ip_rows = verify_mod._ip_rows
 
-    def bent_table(ctx, n):
-        z = real_table(ctx, n).copy()
+    def bent_ip_rows(ctx, n, d_values, out=None):
+        z = real_ip_rows(ctx, n, d_values, out)
         if case == "cell":
-            z[5, 3] ^= 1
+            z[np.asarray(d_values) == 5, 3] ^= 1
         else:
             z[:, 3] ^= 1
         return z
 
+    def bent_table(ctx, n):
+        return bent_ip_rows(ctx, n, np.arange(1 << (ctx.q * n)))
+
     assert check_one_bit_bias(ctx, 3, k, seed=seed).max_bias == clean_bias
-    monkeypatch.setattr(verify_mod, "ip_value_table", bent_table)
+    monkeypatch.setattr(verify_mod, "_ip_rows", bent_ip_rows)
     assert _y_functionals(first_bit_rows(ctx)[bent_table(ctx, 3)], 2) is None
     rep = check_one_bit_bias(ctx, 3, k, seed=seed)
     assert rep == BiasReport(6, k, bent_bias, 2.0 ** (1 - (2 * k - 6) / 2), pairs, exhaustive)
@@ -707,18 +713,62 @@ def test_bias_on_a_bent_n1_table_takes_the_literal_path(monkeypatch, case):
     }[case]
     ctx = field(q)
     real_table = verify_mod.ip_value_table
+    real_ip_rows = verify_mod._ip_rows
+
+    def bent_ip_rows(ctx, n, d_values, out=None):
+        z = real_ip_rows(ctx, n, d_values, out)
+        z[np.asarray(d_values) == cell[0], cell[1]] ^= 1
+        return z
 
     def bent_table(ctx, n):
-        z = real_table(ctx, n).copy()
-        z[cell] ^= 1
-        return z
+        return bent_ip_rows(ctx, n, np.arange(1 << (ctx.q * n)))
 
     assert _log_tables(real_table(ctx, 1)) is not None
     assert check_one_bit_bias(ctx, 1, k, seed=seed).max_bias == clean_bias
-    monkeypatch.setattr(verify_mod, "ip_value_table", bent_table)
+    monkeypatch.setattr(verify_mod, "_ip_rows", bent_ip_rows)
     assert _log_tables(bent_table(ctx, 1)) is None
     rep = check_one_bit_bias(ctx, 1, k, seed=seed)
     assert rep == BiasReport(q, k, bent_bias, 2.0 ** (1 - (2 * k - q) / 2), pairs, exhaustive)
+
+
+def test_row_block_guards_equal_the_whole_table_guards():
+    # Blocks hold 2^18 cells, so every instance with t = 10..12 has several:
+    # they tile the table, the discrete-log guard (n = 1) gives the whole
+    # table's log tables and the linear guard (n >= 2) its functionals.
+    for q, n in hadamard_instances(12):
+        if q * n < 10:
+            continue
+        ctx = field(q)
+        z = ip_value_table(ctx, n)
+        blocks = [(x, block.copy()) for x, block in _ip_row_blocks(ctx, n)]
+        assert len(blocks) > 1, (q, n)
+        assert [x for x, _ in blocks] == list(range(0, len(z), len(blocks[0][1])))
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), z), (q, n)
+        if n == 1:
+            whole = _log_tables(z)
+            assert whole is not None
+            assert all(map(np.array_equal, _block_log_tables(ctx), whole)), q
+        else:
+            brow = first_bit_rows(ctx)
+            assert np.array_equal(_block_y_functionals(ctx, n, brow),
+                                  _y_functionals(brow[z], q)), (q, n)
+
+
+@pytest.mark.parametrize("row", [0, 255, 256, 700, 1023])
+def test_row_block_guards_see_a_bent_cell_in_any_block(monkeypatch, row):
+    # t = 10 is four blocks of 256 rows; one flipped bit off the unit
+    # columns, in the first or last row of a block or inside one, fails both
+    # guards.
+    real_ip_rows = verify_mod._ip_rows
+
+    def bent_ip_rows(ctx, n, d_values, out=None):
+        z = real_ip_rows(ctx, n, d_values, out)
+        z[np.asarray(d_values) == row, 7] ^= 1
+        return z
+
+    monkeypatch.setattr(verify_mod, "_ip_rows", bent_ip_rows)
+    assert _block_log_tables(field(10)) is None
+    assert _block_y_functionals(field(2), 5, first_bit_rows(field(2))) is None
 
 
 def test_bias_raises_when_the_convolution_does_not_round(monkeypatch):
@@ -746,6 +796,24 @@ def test_distance_uniform_pair_is_zero_block_mixture():
         assert rep.distance == pytest.approx(2.0 ** -t * (1 - 2.0 ** -q), abs=1e-13)
         assert rep.rate == 1.0
         assert rep.holds
+
+
+def test_distance_sums_the_whole_table_histogram_chunk_by_chunk():
+    # Row blocks change no float: the weighted histogram is summed in the
+    # same chunks of rows, in the same order, as over the whole table.
+    rng = np.random.default_rng(12)
+    for q, n in ((11, 1), (3, 4), (1, 10)):
+        ctx = field(q)
+        size = 1 << (q * n)
+        px, py = (p / p.sum() for p in rng.random((2, size)))
+        z = ip_value_table(ctx, n)
+        out = np.zeros(1 << q)
+        chunk = verify_mod._rows_per_chunk(size)
+        for start in range(0, size, chunk):
+            weights = np.outer(px[start:start + chunk], py).ravel()
+            out += np.bincount(z[start:start + chunk].ravel(), weights=weights, minlength=1 << q)
+        distance = 0.5 * float(np.abs(out - 1.0 / (1 << q)).sum())
+        assert check_extractor_distance(ctx, n, px, py).distance == distance, (q, n)
 
 
 def test_distance_zero_free_uniform_side_is_exact_zero():
@@ -879,6 +947,21 @@ def test_oracle_working_set_is_the_dense_tables_plus_the_cell_budget():
     assert shift_tables(field(12)) is shift_tables(field(12))
     gc.collect()
     assert [ref() for ref in tables] == [None] * 3
+
+
+def test_bias_and_distance_hold_less_than_one_dense_table():
+    # Guards and distance read the table in row blocks, and a bias instance
+    # that takes no literal path never holds it whole: each traced peak is
+    # below one dense t = 10 table.  Bias on the discrete-log path
+    # (q = 10, n = 1) and on the linear path (q = 2, n = 5), with its support
+    # draws already cached, and the distance at t = 10.
+    table = 2 * 4**10
+    for q, n in ((10, 1), (2, 5)):
+        call = lambda: list(bias_reports(field(q), n, (7, 9, 10)))
+        call()
+        assert _traced_peak(call) < table, (q, n)
+    uniform = np.full(1 << 10, 2.0**-10)
+    assert _traced_peak(lambda: check_extractor_distance(field(5), 2, uniform, uniform)) < table
 
 
 def test_hadamard_instances_enumeration():
