@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .extractor import extract_neq
-from .params import EqPlan, plan_neq
+from .params import EqPlan, _growth_zero
 
 DEFAULT_MUL_OPS_Q80 = 4885  # published circuit budget for one 80-bit multiply
 # Shortest measured window whose rate measure_throughput trusts; timer
@@ -166,11 +166,10 @@ def measure_throughput(
     cost = gate_count(plan.vec_len, plan.field_bits, mul_ops) if mul_ops is not None else None
     rng = np.random.default_rng(seed)
     x, y = (_Endless(rng.bytes(plan.block_bits * 8)) for _ in range(2))   # 64 blocks each
-    # Growth 0 gives the bytes of extract_eq, with no planned end.
-    endless = plan_neq(plan.bits_per_sample, plan.entropy_rate, plan.field_bits, growth=0)
     sink = _WindowSink(time.perf_counter() + 0.1 * duration_s, 0.9 * duration_s)
+    # The plan's growth-0 schedule gives the bytes of extract_eq, with no planned end.
     with contextlib.suppress(_WindowEnd):
-        extract_neq(x, y, endless).run(sink)
+        extract_neq(x, y, _growth_zero(plan)).run(sink)
     elapsed = sink.elapsed
     blocks = sink.bytes * 8 // plan.field_bits
     out_bits = blocks * plan.field_bits

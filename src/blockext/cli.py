@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedRateError,
     VerificationError,
 )
-from .extractor import extract_eq, extract_neq
+from .extractor import _write_all, extract_eq, extract_neq
 from .gf2q import field
 from .params import (
     _validate_sample_bits,
@@ -213,14 +213,12 @@ def cmd_simulate(args) -> int:
                        ("--out", args.out), ("--report", args.report))
     count = parse_count(args.count)
     chunks = sources_mod.sample_chunks(model, count)  # refuses before --out is opened
-    with open(args.out, "wb") as fh:
-        fh.writelines(chunks)
     fields = {
         "model_kind": model.kind,
         "bits_per_sample": model.bits_per_sample,
         "seed": model.seed,
         "samples": count,
-        "bytes_written": (count * model.bits_per_sample + 7) // 8,
+        "bytes_written": 0,
         "warning": "simulated stream, for testing only; not cryptographic randomness",
     }
     try:
@@ -230,7 +228,15 @@ def cmd_simulate(args) -> int:
         fields["worst_guess_prob"] = cert.worst_guess_prob
     except UncertifiableError as exc:
         fields["certificate"] = f"uncertifiable: {exc}"
-    _emit(format_document("simulation", fields), args.report)
+    # Unbuffered, as the extract commands write --out, so that the report,
+    # emitted however the run ends, counts exactly the chunks taken whole.
+    with open(args.out, "wb", buffering=0) as fh:
+        try:
+            for chunk in chunks:
+                _write_all(fh, chunk)
+                fields["bytes_written"] += len(chunk)
+        finally:
+            _emit(format_document("simulation", fields), args.report)
     return 0
 
 
@@ -323,6 +329,9 @@ def cmd_verify(args) -> int:
     if args.max_bits < 1:
         # A suite that enumerates no instance must not read as a pass.
         raise ValueError(f"--max-bits must be >= 1, got {args.max_bits}")
+    if args.seed < 0:
+        # numpy's generators refuse it, which would end the run midway.
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     checks = failures = 0
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(open(args.report, "w")) if args.report else sys.stdout

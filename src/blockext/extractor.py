@@ -15,6 +15,9 @@ before it (q being that block's width), in both modes.
 
 Blocks are independent, which is what lets hardware run several block
 lanes side by side (the lane model is :func:`blockext.bench.projected_speed`).
+Both modes run one width schedule, a :class:`~blockext.params.NeqPlan`: an
+equal-block plan runs as its growth-0 schedule with a planned length, and
+every block width, output bit count and error bound comes from that plan.
 In software, :class:`Extraction` computes each run of equal-width blocks in
 batches with numpy: the inner product's unreduced carry-less product is a
 GF(2) bit-matrix product, computed pair-packed (two bits of each element
@@ -39,7 +42,6 @@ import errno
 import io
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -47,7 +49,7 @@ import numpy as np
 from ._moduli import MODULUS_EXPONENTS
 from .bitio import BitReader, bit_rows_to_ints
 from .gf2q import GFContext, MAX_FIELD_BITS
-from .params import EqPlan, NeqPlan, error_bound_eq, error_bound_neq
+from .params import EqPlan, NeqPlan, _growth_zero, error_bound_neq
 from .report import ExtractionReport
 
 
@@ -236,29 +238,24 @@ class Extraction:
         self._x = BitReader(x_stream)
         self._y = BitReader(y_stream)
         self.plan = plan
-        # The width schedule: block i is first_width + (i-1)*width_step bits
-        # wide.  Equal-block mode is incremental mode with growth 0 and a
-        # planned length; this is the only branch on the plan type.
+        # The width schedule: every width, output bit count and error bound
+        # comes from one NeqPlan.  Equal-block mode runs the growth-0
+        # schedule of its width with a planned length; this is the only
+        # branch on the plan type.
         if isinstance(plan, EqPlan):
             self.mode = "eq"
-            self._first_width = plan.field_bits
-            self._width_step = 0
+            self._schedule = _growth_zero(plan)
             self._planned_blocks = plan.num_blocks
             self._planned_bits = plan.num_samples * plan.bits_per_sample
-            self._bound = partial(error_bound_eq, plan)
         else:
             self.mode = "neq"
-            self._first_width = plan.first_field_bits
-            self._width_step = plan.growth * plan.bits_per_sample
-            self._planned_blocks = None
-            self._planned_bits = None
-            self._bound = partial(error_bound_neq, plan)
+            self._schedule = plan
+            self._planned_blocks = self._planned_bits = None
         limits = [v for v in (self._planned_blocks, max_blocks) if v is not None]
         self._block_limit = min(limits) if limits else None
         self._started = False
         self._stop_reason = "completed"
         self._blocks_done = 0
-        self._output_bits = 0
         self._workspace: _Workspace | None = None
         self.report: ExtractionReport | None = None
 
@@ -286,21 +283,21 @@ class Extraction:
             self._finalize(time.perf_counter() - t0)
 
     def _batches(self) -> Iterator[tuple[np.ndarray, int]]:
-        # Computes each run of equal-width blocks of the schedule in batches
-        # (in incremental mode a run is one block) and yields each batch's
-        # output bits (blocks, width) with its width.  It consumes
+        # Computes the schedule's blocks in batches of equal width (at
+        # growth 0 a batch is _batch_size blocks, else one block) and yields
+        # each batch's output bits (blocks, width) with its width.  It consumes
         # nothing: the caller commits the blocks it delivers (_commit), all of
         # a batch before asking for the next, and the streams are read
         # exactly as a block-by-block read would (see _ready_blocks).
         n = self.plan.vec_len
         limit = self._block_limit
         while limit is None or self._blocks_done < limit:
-            width = self._first_width + self._blocks_done * self._width_step
+            width = self._schedule.field_bits_for_block(self._blocks_done + 1)
             if width > MAX_FIELD_BITS:
                 self._stop_reason = "width-cap"
                 return
             window = width * n
-            want = 1 if self._width_step else _batch_size(width, n)
+            want = 1 if self._schedule.growth else _batch_size(width, n)
             if limit is not None:
                 want = min(want, limit - self._blocks_done)
             ready = self._ready_blocks(want, window)
@@ -321,61 +318,62 @@ class Extraction:
         self._stop_reason = "completed" if limit == self._planned_blocks else "block-limit"
 
     def _commit(self, blocks: int, width: int) -> None:
-        """Count the next `blocks` blocks as done: consume their windows, credit their bits."""
+        """Count the next `blocks` blocks of `width` as done: consume their windows."""
         window = width * self.plan.vec_len
         self._x.advance(blocks * window)
         self._y.advance(blocks * window)
         self._blocks_done += blocks
-        self._output_bits += blocks * width
 
     def _ready_blocks(self, want: int, window: int) -> int:
         """Fill both readers for up to `want` blocks; how many both can serve.
 
-        Fills block by block, x then y, and stops at the first block either
-        stream cannot serve, so the bytes taken from each stream (and hence
-        the buffered tail a report charges on exhaustion) match a
-        block-by-block read.
+        Fills block by block, x then y, from the first block that both do
+        not already hold, and stops at the first block either stream cannot
+        serve, so the bytes taken from each stream (and hence the buffered
+        tail a report charges on exhaustion) match a block-by-block read.
         """
         x, y = self._x, self._y
-        if x.tail_bits() >= want * window and y.tail_bits() >= want * window:
-            return want
-        for i in range(1, want + 1):
-            x_ok = x.fill(i * window)
-            y_ok = y.fill(i * window)
-            if not (x_ok and y_ok):
-                return i - 1
+        for i in range(min(want, x.tail_bits() // window, y.tail_bits() // window), want):
+            end = (i + 1) * window
+            if not all([x.fill(end), y.fill(end)]):   # both fill, x first
+                return i
         return want
 
     def _finalize(self, wall: float) -> None:
         self._workspace = None
         k = self._blocks_done
-        exhausted = self._stop_reason == "input-exhausted"
+        output_bits = self._schedule.output_bits_after(k)
         self.report = ExtractionReport(
             mode=self.mode,
             plan=self.plan,
             blocks_completed=k,
             x_bits_consumed=self._x.bits_consumed,
             y_bits_consumed=self._y.bits_consumed,
-            output_bits=self._output_bits,
-            x_discarded_tail_bits=self._discarded(self._x, exhausted),
-            y_discarded_tail_bits=self._discarded(self._y, exhausted),
-            log2_error_bound=self._bound(k) if k else float("-inf"),
+            output_bits=output_bits,
+            x_discarded_tail_bits=self._discarded(self._x, output_bits),
+            y_discarded_tail_bits=self._discarded(self._y, output_bits),
+            log2_error_bound=error_bound_neq(self._schedule, k) if k else float("-inf"),
             wall_time_s=wall,
             window_disjointness=True,
             stop_reason=self._stop_reason,
         )
 
-    def _discarded(self, reader: BitReader, exhausted: bool) -> int:
-        # Bits delivered but not used by any completed block; when the stream
-        # ran dry, the short buffered tail can never form a block and counts
-        # too.  A completed run with a planned length charges the window's
-        # indivisible remainder (N*b mod q*n), which no block can use.  On a
-        # width-cap, block-limit or interrupted stop the rest of the stream
-        # is simply unprocessed, not discarded.  Each block uses q*n bits per
-        # source for q output bits.
-        used = self._output_bits * self.plan.vec_len
+    def _discarded(self, reader: BitReader, output_bits: int) -> int:
+        # Bits delivered but not used by any completed block.  When a stream
+        # ran dry, a reader that still had the unfinished block's window
+        # consumed it (see _batches), so its bits consumed are one window
+        # past the used blocks, and each reader's buffered tail, which can
+        # never form a block, counts too.  How far a reader buffered past
+        # that window depends on how its stream was read, not on the data:
+        # a regular file keeps those bytes, a pipe loses them.  A completed
+        # run with a planned length charges the window's indivisible
+        # remainder (N*b mod q*n), which no block can use.  On a width-cap,
+        # block-limit or interrupted stop the rest of the stream is simply
+        # unprocessed, not discarded.  Each block uses q*n bits per source
+        # for q output bits.
+        used = output_bits * self.plan.vec_len
         discarded = reader.bits_consumed - used
-        if exhausted:
+        if self._stop_reason == "input-exhausted":
             discarded += reader.tail_bits()
         elif self._stop_reason == "completed" and self._planned_bits is not None:
             discarded += self._planned_bits - used

@@ -152,6 +152,16 @@ class NeqPlan:
         return k * self.first_field_bits + (k - 1) * k * self.growth * self.bits_per_sample // 2
 
 
+def _growth_zero(plan: EqPlan) -> NeqPlan:
+    """The width schedule an equal-block plan runs: its b, rate, n and q at growth 0.
+
+    Built from the plan's own fields, not through :func:`plan_neq`, which
+    would derive n from the rate again and so change a hand-made plan's n.
+    """
+    return NeqPlan(plan.bits_per_sample, plan.entropy_rate, plan.vec_len, plan.field_bits,
+                   growth=0, log2_error_limit=None)
+
+
 def _vec_len(entropy_rate: Fraction, bits_per_sample: int) -> int:
     """Samples-per-element count ceil(24 / (2*rate - 1)), exact, once the
     rate and then b are checked."""

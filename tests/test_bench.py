@@ -12,6 +12,7 @@ from blockext.bench import (
     projected_speed,
 )
 from blockext.params import plan_eq
+from tests.test_extractor import tiny_eq_plan
 
 
 def test_gate_count_published_configuration():
@@ -106,3 +107,18 @@ def test_measure_throughput_runs_one_extraction(monkeypatch):
         rep = measure_throughput(plan, duration_s=0.2, seed=2)
         assert len(calls) == 1 and rep.blocks > 0
         assert (calls[0].first_field_bits, calls[0].growth) == (plan.field_bits, 0)
+
+
+def test_measure_throughput_runs_the_plans_own_vector_length(monkeypatch):
+    # At rate 3/4 the planner's n is 48; a hand-made plan keeps its own.
+    calls, real = [], bench.extract_neq
+
+    def capturing(*args, **kwargs):
+        calls.append(args[2])   # the plan
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "extract_neq", capturing)
+    plan = tiny_eq_plan(8, 4096, "3/4", 5, 8)
+    rep = measure_throughput(plan, duration_s=0.2, seed=2)
+    assert [(p.vec_len, p.first_field_bits, p.growth) for p in calls] == [(5, 8, 0)]
+    assert rep.blocks > 0 and rep.input_bits_per_source == rep.blocks * 40

@@ -34,7 +34,7 @@ from blockext.errors import (
 from blockext.extractor import extract_eq, extract_neq
 from blockext.params import plan_eq
 from blockext.report import ExtractionReport, parse_document, plan_from_text
-from blockext.sources import parse_model
+from blockext.sources import parse_model, sample_chunks
 from tests.test_bitio import NotReadyIO
 from tests.test_simulated_streams import COUNTS, DIGESTS, MODELS
 
@@ -739,6 +739,37 @@ def test_simulate_writes_the_recorded_bytes(tmp_path, capsys, name):
     assert int(fields["bytes_written"]) == out.stat().st_size
 
 
+def test_simulate_into_a_closed_pipe_leaves_a_report(tmp_path):
+    # `simulate ... --out /dev/stdout | head -c 100`: 2^22 samples of 16 bits
+    # are 8 MiB, far more than a 64 KiB pipe buffer holds.
+    config = {"kind": "uniform", "b": 16, "seed": 7}
+    cfg, report = tmp_path / "u.json", tmp_path / "r.txt"
+    cfg.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "blockext.cli", "simulate", "--config", str(cfg),
+            "--count", "2^22", "--out", "/dev/stdout", "--report", str(report)]
+    head = b""
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          env=env) as child:
+        try:
+            while len(head) < 100:
+                ready, _, _ = select.select([child.stdout], [], [], 60)
+                assert ready, "no output within 60 s"
+                data = os.read(child.stdout.fileno(), 100 - len(head))
+                assert data, "output ended before 100 bytes"
+                head += data
+            child.stdout.close()
+            assert child.wait(timeout=60) == 5
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+    kind, fields = parse_document(report.read_text())
+    written = int(fields["bytes_written"])
+    assert kind == "simulation" and int(fields["samples"]) == 2**22
+    assert written < 2**22 * 2 and written % (2**16 * 2) == 0   # whole 2^16-sample chunks
+    assert next(sample_chunks(parse_model(config), 2**22)).startswith(head)
+
+
 @pytest.mark.parametrize("case", ["out-raw", "out-report", "out-config"])
 def test_simulate_refuses_to_write_over_an_input_or_its_output(tmp_path, monkeypatch, capsys,
                                                                case):
@@ -767,6 +798,15 @@ def test_verify_max_bits_below_one_is_usage_error(capsys, suite, value):
     assert run_cli("verify", "--suite", suite, "--max-bits", value) == 2
     out, err = capsys.readouterr()
     assert out == "" and "--max-bits must be >= 1" in err
+
+
+@pytest.mark.parametrize("suite", ["hadamard", "bias", "all"])
+def test_verify_negative_seed_is_usage_error_before_any_check(capsys, suite):
+    # numpy's generators refuse a negative seed, which once ended `all` and
+    # `bias` at their first sampled instance, after lines that read PASS.
+    assert run_cli("verify", "--suite", suite, "--max-bits", "4", "--seed", "-1") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--seed must be >= 0" in err
 
 
 def test_verify_fast_suites(tmp_path, capsys):

@@ -18,6 +18,7 @@ from blockext.gf2q import (
     is_irreducible,
     modulus_int,
     poly_degree,
+    poly_mod,
 )
 from blockext.errors import CapacityError
 
@@ -209,3 +210,8 @@ def test_context_cache_and_equality():
     assert field(7) is field(7)
     assert field(7) == GFContext(7)
     assert field(7) != field(8)
+
+
+def test_poly_mod_by_the_zero_polynomial():
+    with pytest.raises(ZeroDivisionError, match="^division by zero polynomial$"):
+        poly_mod(5, 0)

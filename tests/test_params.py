@@ -278,3 +278,22 @@ def test_plan_serialization_round_trip():
     assert plan_from_text(plan_to_text(neq)) == neq
     neq0 = plan_neq(8, "3/4", 16, 0)
     assert plan_from_text(plan_to_text(neq0)) == neq0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: as_rational(True), TypeError, "value must be rational, got bool"),
+    (lambda: as_rational([1]), TypeError, "cannot interpret value=[1] as a rational"),
+    (lambda: plan_neq(8, "3/4", 16, 2).field_bits_for_block(0), ValueError,
+     "block index is 1-based"),
+    (lambda: plan_neq(8, "3/4", 16, 2).output_bits_after(-1), ValueError,
+     "block count must be >= 0"),
+    (lambda: error_bound_block(0, 8, "3/4"), ValueError, "vec_len and field_bits must be >= 1"),
+    (lambda: error_bound_eq(plan_eq(8, 4096, "3/4", "2^-8"), -1), ValueError,
+     "block count must be >= 0"),
+    (lambda: error_bound_neq(plan_neq(8, "3/4", 16, 2), 0), ValueError,
+     "block count must be >= 1"),
+], ids=["rational-bool", "rational-list", "width-of-block-0", "bits-after-minus-1",
+        "block-bound-n-0", "eq-bound-minus-1", "neq-bound-0"])
+def test_guards_refuse_with_their_type_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,11 +1,18 @@
 """The `blockext-report v1` documents: exact bytes and tolerant parsing."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from blockext.params import EqPlan, NeqPlan
-from blockext.report import ExtractionReport, plan_from_text, plan_to_text
+from blockext.report import (
+    HEADER,
+    ExtractionReport,
+    parse_document,
+    plan_from_text,
+    plan_to_text,
+)
 
 EQ_PLAN = EqPlan(
     bits_per_sample=16, num_samples=65536, entropy_rate=Fraction(537, 800),
@@ -140,3 +147,20 @@ def test_value_that_does_not_parse_names_its_key(key, bad):
         plan_from_text(text)
     with pytest.raises(ValueError, match=f"plan.{key}"):
         ExtractionReport.from_text(REPORT_TEXT.replace("plan." + line, f"plan.{key} = {bad}"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind = eq-plan\n", "missing or unsupported header; expected 'blockext-report v1'"),
+    (f"{HEADER}\nkind = eq-plan\nno equals sign\n", "malformed line: 'no equals sign'"),
+    (f"{HEADER}\nvec_len = 71\n", "document has no kind line"),
+], ids=["no-header", "no-equals", "no-kind"])
+def test_malformed_document_is_a_value_error(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_document(text)
+
+
+def test_what_is_not_a_plan_or_a_report_is_refused():
+    with pytest.raises(TypeError, match="^not a plan: <object object at "):
+        plan_to_text(object())
+    with pytest.raises(ValueError, match="^not an extraction report: kind 'eq-plan'$"):
+        ExtractionReport.from_text(EQ_PLAN_TEXT)

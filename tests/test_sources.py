@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -15,6 +16,7 @@ from blockext.errors import (
 )
 from blockext.params import plan_eq
 from blockext.sources import (
+    SourceModel,
     certify_forward_block,
     file_source,
     generate,
@@ -228,3 +230,22 @@ def test_parse_model_kinds(tmp_path):
     assert generate(m, 2) == b"ab"
     with pytest.raises(ValueError):
         parse_model({"kind": "nope"})
+
+
+def test_joint_table_and_certifier_refuse_what_they_cannot_read():
+    with pytest.raises(ValueError, match="^joint table axes must all have length 2$"):
+        joint_table(np.full((2, 4), 1 / 8), 1)
+    with pytest.raises(ValueError, match="^unknown model kind 'bogus'$"):
+        certify_forward_block(SourceModel(kind="bogus", bits_per_sample=1))
+
+
+def test_file_source_that_shrinks_while_it_is_read_is_truncated(tmp_path):
+    # Sized at 2^17 bytes when sample_chunks returns, then cut to 1000
+    # before its first chunk of 2^16 bytes is read.
+    path = tmp_path / "raw.bin"
+    path.write_bytes(bytes(1 << 17))
+    chunks = sample_chunks(file_source(str(path), 8), 1 << 17)
+    os.truncate(path, 1000)
+    message = f"{path} shrank below 131072 bytes while it was read"
+    with pytest.raises(TruncatedSourceError, match=f"^{re.escape(message)}$"):
+        list(chunks)
