@@ -9,7 +9,11 @@ The extractor is sound only for two independent sources, so the extract
 commands and simulate refuse, before opening anything, two flags that
 name one file: one guard, _refuse_same_files, where '-' as --x or --y is
 standard input and matches /dev/stdin, /dev/fd/0 or the file it is
-redirected from.  Each command imports the modules only it runs.
+redirected from.  Every numeric flag is converted once, by its argparse
+`type`, so a malformed number is a usage error (exit 2) that names its flag,
+refused before any file is opened; counts and rationals keep the grammar of
+params.parse_count and params.as_rational, and their reason.  Each command
+imports the modules only it runs.
 """
 
 from __future__ import annotations
@@ -63,19 +67,32 @@ WORKERS_HELP = ("must be >= 1; has no effect, blocks run in order on one thread 
                 "(parallel lanes are a hardware figure, see `bench cost`)")
 
 
+def _library_type(convert):
+    """An argparse `type` running `convert`, whose ValueError reason the refusal keeps."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+_COUNT = _library_type(parse_count)
+
+
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--b", required=True, help="bits per sample, e.g. 16")
-    p.add_argument("--delta", required=True,
-                   help="min-entropy rate as a rational, e.g. 10.74/16")
+    p.add_argument("--b", type=int, required=True, help="bits per sample, e.g. 16")
+    p.add_argument("--delta", type=_library_type(lambda text: as_rational(text, "delta")),
+                   required=True, help="min-entropy rate as a rational, e.g. 10.74/16")
 
 
 def _add_eq_plan_flags(p: argparse.ArgumentParser, need_n: bool = True) -> None:
     _add_source_flags(p)
-    p.add_argument("--epsilon", required=True,
+    p.add_argument("--epsilon", type=_library_type(parse_probability), required=True,
                    help="target distance from uniform, e.g. 2^-30")
     group = p.add_mutually_exclusive_group(required=need_n)
-    group.add_argument("--N", help="samples per source, e.g. 2^47")
-    group.add_argument("--N-bits", dest="n_bits",
+    group.add_argument("--N", type=_COUNT, help="samples per source, e.g. 2^47")
+    group.add_argument("--N-bits", dest="n_bits", type=_COUNT,
                        help="raw bits per source; must divide by --b")
 
 
@@ -91,19 +108,16 @@ def _add_extract_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _eq_plan_from_args(args, default_bits: int | None = None):
-    b = int(args.b)
-    _validate_sample_bits(b)  # before any division by b
+    _validate_sample_bits(args.b)  # before any division by b
     if args.N is not None:
-        samples = parse_count(args.N)
+        samples = args.N
     elif args.n_bits is not None:
-        bits = parse_count(args.n_bits)
-        if bits % b:
-            raise ValueError(f"--N-bits {bits} is not a multiple of --b {b}")
-        samples = bits // b
+        if args.n_bits % args.b:
+            raise ValueError(f"--N-bits {args.n_bits} is not a multiple of --b {args.b}")
+        samples = args.n_bits // args.b
     else:
-        samples = default_bits // b
-    return plan_eq(b, samples, as_rational(args.delta, "delta"),
-                   parse_probability(args.epsilon))
+        samples = default_bits // args.b
+    return plan_eq(args.b, samples, args.delta, args.epsilon)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -115,8 +129,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_params(args) -> int:
-    plan = _eq_plan_from_args(args)
-    _emit(plan_to_text(plan), args.report)
+    _emit(plan_to_text(_eq_plan_from_args(args)), args.report)
     return 0
 
 
@@ -195,9 +208,7 @@ def cmd_extract_eq(args) -> int:
 
 
 def cmd_extract_neq(args) -> int:
-    plan = plan_neq(int(args.b), as_rational(args.delta, "delta"),
-                    first_field_bits=int(args.q1), growth=int(args.growth))
-    return _extract(args, extract_neq, plan)
+    return _extract(args, extract_neq, plan_neq(args.b, args.delta, args.q1, args.growth))
 
 
 def cmd_simulate(args) -> int:
@@ -211,13 +222,12 @@ def cmd_simulate(args) -> int:
         model = dataclasses.replace(model, seed=args.seed)
     _refuse_same_files(("--config", args.config), ("--config path", model.path),
                        ("--out", args.out), ("--report", args.report))
-    count = parse_count(args.count)
-    chunks = sources_mod.sample_chunks(model, count)  # refuses before --out is opened
+    chunks = sources_mod.sample_chunks(model, args.count)  # refuses before --out is opened
     fields = {
         "model_kind": model.kind,
         "bits_per_sample": model.bits_per_sample,
         "seed": model.seed,
-        "samples": count,
+        "samples": args.count,
         "bytes_written": 0,
         "warning": "simulated stream, for testing only; not cryptographic randomness",
     }
@@ -350,15 +360,11 @@ def cmd_verify(args) -> int:
 def cmd_bench_cost(args) -> int:
     from . import bench as bench_mod
 
-    mul_ops = bench_mod.DEFAULT_MUL_OPS_Q80 if args.mul_ops is None else int(args.mul_ops)
-    cost = bench_mod.GateCostModel(
-        field_bits=int(args.field_bits), vec_len=int(args.vec_len), mul_ops=mul_ops,
-    )
-    model = bench_mod.FpgaModel(
-        clock_hz=float(args.clock_mhz) * 1e6,
-        lut_count=parse_count(args.luts),
-        ops_per_lut=int(args.ops_per_lut),
-    )
+    mul_ops = bench_mod.DEFAULT_MUL_OPS_Q80 if args.mul_ops is None else args.mul_ops
+    cost = bench_mod.GateCostModel(field_bits=args.field_bits, vec_len=args.vec_len,
+                                   mul_ops=mul_ops)
+    model = bench_mod.FpgaModel(clock_hz=args.clock_mhz * 1e6, lut_count=args.luts,
+                                ops_per_lut=args.ops_per_lut)
     proj = bench_mod.projected_speed(model, cost)
     fields = {
         "block_ops": cost.block_ops,
@@ -377,10 +383,8 @@ def cmd_bench_throughput(args) -> int:
 
     from . import bench as bench_mod
 
-    plan = _eq_plan_from_args(args)
-    rep = bench_mod.measure_throughput(
-        plan, duration_s=args.duration, mul_ops=args.mul_ops,
-    )
+    rep = bench_mod.measure_throughput(_eq_plan_from_args(args), duration_s=args.duration,
+                                       mul_ops=args.mul_ops)
     fields = {
         "machine": platform.platform(),
         "python": platform.python_version(),
@@ -418,13 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-neq", help="incremental-block extraction")
     _add_extract_flags(p)
     _add_source_flags(p)
-    p.add_argument("--q1", required=True, help="starting field bits, multiple of --b")
-    p.add_argument("--growth", default=1, help="samples added per block (0 reproduces eq)")
+    p.add_argument("--q1", type=int, required=True, help="starting field bits, multiple of --b")
+    p.add_argument("--growth", type=int, default=1, help="samples added per block (0: eq)")
     p.set_defaults(func=cmd_extract_neq)
 
     p = sub.add_parser("simulate", help="generate a test stream from a model config")
     p.add_argument("--config", required=True, help="JSON model description")
-    p.add_argument("--count", required=True, help="samples to draw, e.g. 2^20")
+    p.add_argument("--count", type=_COUNT, required=True, help="samples to draw, e.g. 2^20")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--report")
@@ -443,12 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = p.add_subparsers(dest="bench_command", required=True)
 
     c = bsub.add_parser("cost", help="gate-count and FPGA speed projection")
-    c.add_argument("--vec-len", default=71)
-    c.add_argument("--field-bits", default=80)
-    c.add_argument("--mul-ops")  # default: bench.DEFAULT_MUL_OPS_Q80, set in cmd_bench_cost
-    c.add_argument("--clock-mhz", default=200)
-    c.add_argument("--luts", default=300000)
-    c.add_argument("--ops-per-lut", default=5)
+    c.add_argument("--vec-len", type=int, default=71)
+    c.add_argument("--field-bits", type=int, default=80)
+    c.add_argument("--mul-ops", type=int)  # default set in cmd_bench_cost
+    c.add_argument("--clock-mhz", type=float, default=200.0)
+    c.add_argument("--luts", type=_COUNT, default=300000)
+    c.add_argument("--ops-per-lut", type=int, default=5)
     c.add_argument("--report")
     c.set_defaults(func=cmd_bench_cost)
 

@@ -50,7 +50,8 @@ def as_rational(value, name: str = "value") -> Fraction:
     Accepts Fraction, int, or a string like "10.74/16", "537/800", "0.67125",
     "1e400" or "2^-30"; a string whose numerator or denominator is wider
     than 2^16 bits is refused, judged from its exponent before any power is
-    computed.
+    computed.  Every refusal names `name`, and a malformed literal keeps the
+    reason int() or Fraction() gave.
     """
     if isinstance(value, bool):
         raise TypeError(f"{name} must be rational, got bool")
@@ -65,15 +66,15 @@ def as_rational(value, name: str = "value") -> Fraction:
                 num, den = text.split("/", 1)
                 result = as_rational(num.strip(), name) / as_rational(den.strip(), name)
             elif "^" in text:
-                base, exp = (int(part) for part in text.split("^", 1))
+                base, exp = (_literal(int, part, name, value) for part in text.split("^", 1))
                 # base^exp is at least (bits(base) - 1) * |exp| bits wide.
                 _refuse_wide((abs(base).bit_length() - 1) * abs(exp), name, value)
                 result = Fraction(base) ** exp
             else:
                 _, e, exp = text.lower().partition("e")
                 if e:  # 10^|exp| is more than 3 * |exp| bits wide
-                    _refuse_wide(3 * abs(int(exp)), name, value)
-                result = Fraction(text)
+                    _refuse_wide(3 * abs(_literal(int, exp, name, value)), name, value)
+                result = _literal(Fraction, text, name, value)
         except ZeroDivisionError:
             raise ValueError(f"{name}: division by zero in {value!r}") from None
         _refuse_wide(max(result.numerator.bit_length(), result.denominator.bit_length()),
@@ -85,6 +86,14 @@ def as_rational(value, name: str = "value") -> Fraction:
             f"floats near a ceiling boundary can change derived parameters"
         )
     raise TypeError(f"cannot interpret {name}={value!r} as a rational")
+
+
+def _literal(convert, text: str, name: str, value):
+    """convert(text), refusing a malformed literal with `name`, `value` and the reason."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {value!r} is not a rational ({exc})") from None
 
 
 def _refuse_wide(bits: int, name: str, value) -> None:

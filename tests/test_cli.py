@@ -1,5 +1,6 @@
 """Command-line behavior: formats, round trips, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -75,9 +76,12 @@ def test_params_n_bits_divisibility(capsys):
 def test_params_refuses_a_number_wider_than_2_16_bits(capsys, flag, value):
     # A usage error, decided before the power is computed; --epsilon once
     # reached the width search and exited 3, and --N took seconds.
+    # The parser refuses it, so in process it raises SystemExit.
     values = {"--N": "2^40", "--epsilon": "2^-30", flag: value}
-    assert run_cli("params", "--b", "16", "--delta", "3/4",
-                   *(arg for item in values.items() for arg in item)) == 2
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("params", "--b", "16", "--delta", "3/4",
+                *(arg for item in values.items() for arg in item))
+    assert exc_info.value.code == 2
     assert "wider than 2^16 bits" in capsys.readouterr().err
 
 
@@ -88,16 +92,104 @@ def test_params_exit_codes(capsys):
                    "--N", "2^500", "--epsilon", "2^-300") == 3
     assert run_cli("params", "--b", "16", "--delta", "3/4",
                    "--N", "2^40", "--epsilon", "2") == 2
-    assert run_cli("params", "--b", "16", "--delta", "1/0",
-                   "--N", "2^40", "--epsilon", "2^-30") == 2
-    assert run_cli("params", "--b", "16", "--delta", "3/4",
-                   "--N", "2^-1", "--epsilon", "2^-30") == 2
+    # Malformed numbers are refused by the parser (SystemExit), as usage errors.
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("params", "--b", "16", "--delta", "1/0", "--N", "2^40", "--epsilon", "2^-30")
+    assert exc_info.value.code == 2
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("params", "--b", "16", "--delta", "3/4", "--N", "2^-1", "--epsilon", "2^-30")
+    assert exc_info.value.code == 2
 
 
 def test_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         run_cli("verify", "--suite", "nope")
     assert exc_info.value.code == 2
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) of every subcommand, bench's included."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*words, name))
+
+
+TEXT_FLAGS = {"--x", "--y", "--out", "--report", "--config", "--suite"}
+INTEGER_FLAGS = {"--b", "--N", "--N-bits", "--q1", "--growth", "--count", "--seed", "--max-bits",
+                 "--max-blocks", "--workers", "--vec-len", "--field-bits", "--mul-ops", "--luts",
+                 "--ops-per-lut"}
+# Every flag that takes a value and is not a file name or a choice takes a number.
+NUMERIC_FLAGS = [(words, action) for words, parser in _leaf_parsers(cli.build_parser())
+                 for action in parser._actions
+                 if action.option_strings and action.nargs != 0
+                 and action.option_strings[-1] not in TEXT_FLAGS]
+
+
+def test_every_numeric_flag_is_converted_by_the_parser():
+    # A flag converted inside its handler would refuse a malformed number
+    # without naming the flag, and possibly after opening a file.
+    assert {words for words, _ in NUMERIC_FLAGS} == {
+        ("params",), ("extract-eq",), ("extract-neq",), ("simulate",), ("verify",),
+        ("bench", "cost"), ("bench", "throughput")}
+    flags = {action.option_strings[-1] for _, action in NUMERIC_FLAGS}
+    assert flags == INTEGER_FLAGS | {"--delta", "--epsilon", "--clock-mhz", "--duration"}
+    untyped = [(words, action.option_strings[-1]) for words, action in NUMERIC_FLAGS
+               if action.type is None]
+    assert not untyped
+
+
+def _valid_flags(words, tmp_path):
+    """A command line of `words` that runs, giving every numeric flag it takes."""
+    x, y, config = tmp_path / "x.bin", tmp_path / "y.bin", tmp_path / "model.json"
+    for path in (x, y):
+        path.write_bytes(bytes(range(256)) * 4)
+    config.write_text(json.dumps({"kind": "uniform", "b": 8, "seed": 1}))
+    files = {"--out": str(tmp_path / "out.bin"), "--report": str(tmp_path / "report.txt")}
+    plan = {"--b": "8", "--delta": "3/4", "--epsilon": "2^-8", "--N": "1024"}
+    limits = {"--max-blocks": "1", "--workers": "1"}
+    return {
+        ("params",): {**plan, "--report": files["--report"]},
+        ("extract-eq",): {"--x": str(x), "--y": str(y), **files, **plan, **limits},
+        ("extract-neq",): {"--x": str(x), "--y": str(y), **files, "--b": "8", "--delta": "3/4",
+                           "--q1": "16", "--growth": "1", **limits},
+        ("simulate",): {"--config": str(config), "--count": "64", "--seed": "3", **files},
+        ("verify",): {"--suite": "hadamard", "--max-bits": "2", "--seed": "0",
+                      "--report": files["--report"]},
+        ("bench", "cost"): {"--vec-len": "71", "--field-bits": "80", "--mul-ops": "4885",
+                            "--clock-mhz": "200", "--luts": "300000", "--ops-per-lut": "5",
+                            "--report": files["--report"]},
+        ("bench", "throughput"): {**plan, "--duration": "0.05", "--mul-ops": "4885",
+                                  "--report": files["--report"]},
+    }[words]
+
+
+def _argv(words, flags):
+    return [*words, *(arg for item in flags.items() for arg in item)]
+
+
+@pytest.mark.parametrize("words", sorted({words for words, _ in NUMERIC_FLAGS}), ids=" ".join)
+def test_numeric_flag_cases_start_from_a_command_that_runs(tmp_path, capsys, words):
+    assert run_cli(*_argv(words, _valid_flags(words, tmp_path))) == 0
+
+
+@pytest.mark.parametrize("words, flag, value", [
+    (words, action.option_strings[-1], value) for words, action in NUMERIC_FLAGS
+    for value in ("x", "1.5") if value == "x" or action.option_strings[-1] in INTEGER_FLAGS
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_a_malformed_number_is_refused_by_the_parser_naming_its_flag(tmp_path, words, flag,
+                                                                     value):
+    flags = _valid_flags(words, tmp_path)
+    flags.pop({"--N": "--N-bits", "--N-bits": "--N"}.get(flag), None)  # one of the two
+    flags[flag] = value
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "blockext.cli", *_argv(words, flags)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert f"argument {flag}: " in done.stderr and f"'{value}'" in done.stderr, done.stderr
+    assert not (tmp_path / "out.bin").exists() and not (tmp_path / "report.txt").exists()
 
 
 def _write_uniform_config(tmp_path, b=8, seed=1):

@@ -84,7 +84,8 @@ def test_width_search_stops_at_the_first_width_past_the_cap():
      f"starting width needed for epsilon={Fraction(1, 2**200)} exceeds the 128-bit cap"),
     # plan_eq parses epsilon before it checks the rate, then checks b, the
     # epsilon range and the sample count
-    (lambda: plan_eq(16, 2**16, "2/5", "x"), ValueError, "Invalid literal for Fraction: 'x'"),
+    (lambda: plan_eq(16, 2**16, "2/5", "x"), ValueError,
+     "epsilon: 'x' is not a rational (Invalid literal for Fraction: 'x')"),
     (lambda: plan_eq(0, 2**16, "3/4", "2"), ValueError, "bits per sample must be in 1..64"),
     (lambda: plan_eq(16, 0, "3/4", "2"), ValueError, "epsilon must be in (0,1), got 2"),
     (lambda: plan_eq(16, 0, "3/4", "2^-30"), ValueError, "sample count must be positive"),
@@ -269,6 +270,23 @@ def test_as_rational_accepts_values_up_to_2_16_bits():
     assert as_rational("2^65535") == 2**65535
     assert as_rational("1e19000") == 10**19000
     assert as_rational("1^100000000000") == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: plan_eq(16, 2**16, "x", "2^-20"),
+     "entropy_rate: 'x' is not a rational (Invalid literal for Fraction: 'x')"),
+    (lambda: as_rational("2^x", "delta"),
+     "delta: '2^x' is not a rational (invalid literal for int() with base 10: 'x')"),
+    (lambda: as_rational("1e1.5", "delta"),
+     "delta: '1e1.5' is not a rational (invalid literal for int() with base 10: '1.5')"),
+    (lambda: as_rational("3/x", "delta"),
+     "delta: 'x' is not a rational (Invalid literal for Fraction: 'x')"),
+    (lambda: as_rational("1/0", "delta"), "delta: division by zero in '1/0'"),
+    (lambda: as_rational("2^65536", "delta"), "delta: '2^65536' is wider than 2^16 bits"),
+], ids=["fraction", "power", "exponent", "denominator", "zero", "wide"])
+def test_as_rational_names_its_input_in_every_refusal(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_plan_serialization_round_trip():
